@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the engine's design choices.
 
 Not a paper figure — these isolate the individual levers inside
 repVal/disVal that the ``*nop``/``*ran`` variants only toggle together:

@@ -1,7 +1,7 @@
 """Figure 6: disVal scalability on synthetic graphs, varying |G|.
 
 The paper sweeps |G| from (10M, 20M) to (50M, 100M) with n=16 and 50
-GFDs; scaled here to (1k, 2k) … (5k, 10k) with ‖Σ‖=6 (DESIGN.md §1.3).
+GFDs; scaled here to (1k, 2k) … (5k, 10k) with ‖Σ‖=6.
 Shapes: (1) time grows with |G| for every algorithm; (2) disVal stays
 below disran and disnop across the sweep (paper: 1.9× and 1.5×); and
 (3) sequential detVio blows past its budget on graphs the parallel

@@ -1,8 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every module regenerates one of the paper's tables/figures (see the
-per-experiment index in DESIGN.md).  Graphs are scaled-down stand-ins
-(DESIGN.md §1.3) and "times" are the simulated cluster's deterministic
+Every module regenerates one of the paper's tables/figures.  Graphs are
+scaled-down stand-ins and "times" are the simulated cluster's deterministic
 cost units, so the *shapes* — orderings, speedup ratios, crossovers — are
 reproducible on any machine; pytest-benchmark additionally records wall
 time for one representative configuration per figure.

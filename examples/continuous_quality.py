@@ -1,7 +1,7 @@
 """Continuous data quality: incremental detection + automatic repair.
 
-Extensions built on the paper's machinery (DESIGN.md lists them under the
-future-work items of Section 8): an :class:`IncrementalValidator` keeps
+Extensions built on the paper's machinery (the future-work items of its
+Section 8): an :class:`IncrementalValidator` keeps
 ``Vio(Σ, G)`` current while the graph is edited — re-validating only the
 affected data blocks, by the same locality argument that powers the
 parallel algorithms — and ``apply_repairs`` proposes and applies minimal

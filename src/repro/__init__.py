@@ -21,9 +21,6 @@ Quickstart::
         "x:country -capital-> y:city; x -capital-> z:city",
         " => y.val = z.val", name="capital")
     print(det_vio([phi2], g))          # the Canberra/Melbourne clash
-
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
 """
 
 from .graph import (

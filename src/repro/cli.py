@@ -111,8 +111,8 @@ def _detect(graph, rules, args):
 
     n = args.processes or max(1, usable_cpus())
     with ValidationSession(
-        graph, rules, executor=args.executor, processes=args.processes,
-        persistent=False, ship_mode=args.ship_mode,
+        graph, rules, executor=args.executor, processes=n,
+        ship_mode=args.ship_mode,
         fault_policy=_fault_policy(args),
     ) as session:
         return session.validate(n=n).violations

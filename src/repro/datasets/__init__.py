@@ -1,5 +1,4 @@
-"""Synthetic stand-ins for the paper's three real-life graphs
-(DESIGN.md §1.3 records the substitution)."""
+"""Synthetic stand-ins for the paper's three real-life graphs."""
 
 from .base import Dataset
 from . import dbpedia_like, pokec_like, yago_like

@@ -1,7 +1,7 @@
 """Common shape for the dataset stand-ins.
 
 The paper evaluates on DBpedia, YAGO2 and Pokec; offline we generate
-synthetic graphs with the same *relevant* structure (DESIGN.md §1.3).
+synthetic graphs with the same *relevant* structure.
 Every builder returns a :class:`Dataset`: the graph, a curated GFD set
 matching the paper's examples, and the ground-truth entity set of seeded
 inconsistencies.

@@ -1,7 +1,7 @@
 """The simulated cluster: cost-accounted parallel execution.
 
 The paper's experiments run on 4–20 Amazon EC2 instances; this module is
-the documented substitution (DESIGN.md §1.3).  Every work unit is executed
+the documented substitution.  Every work unit is executed
 *for real* — the matcher runs and real violations are produced — but the
 unit's measured cost is charged to the worker it was assigned to, and the
 reported *parallel time* is what the paper's figures plot:

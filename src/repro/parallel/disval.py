@@ -59,11 +59,13 @@ def dis_val(
     shards travel (``"pickle"``/``"shm"``/``"auto"`` — the shard plane).
 
     This is a thin facade over the session layer: each call constructs a
-    throwaway (non-persistent) :class:`~repro.session.ValidationSession`
-    and runs one fragmented validation — identical results, no state
-    kept.  Repeated validation over the *same* fragmentation should hold
-    a session instead: its workers then keep their resident shares and
-    only block-share deltas are shipped.
+    throwaway :class:`~repro.session.ValidationSession` and runs one
+    fragmented validation — identical results, no state kept.  A process
+    run starts the session's supervised pool with at most one worker per
+    fragment and shuts it down on return; ``run.shipping`` reports what
+    it shipped, fault recoveries included.  Repeated validation over the
+    *same* fragmentation should hold a session instead: its workers then
+    keep their resident shares and only block-share deltas are shipped.
     """
     from ..session import ValidationSession
 
@@ -71,9 +73,11 @@ def dis_val(
         fragmentation.graph,
         sigma,
         executor=executor,
-        processes=processes,
+        processes=(
+            fragmentation.n if processes is None
+            else min(processes, fragmentation.n)
+        ),
         cost_model=cost_model,
-        persistent=False,
         ship_mode=ship_mode,
     ) as session:
         return session.validate(

@@ -7,12 +7,12 @@ other half the paper's Figures 5–8 are about — *real* concurrency:
 * :class:`SimulatedExecutor` — the original path: every worker's units run
   on the coordinator, sharing one :class:`~repro.parallel.engine.
   BlockMaterialiser` so heavily-shared blocks are indexed once;
-* :class:`MultiprocessExecutor` — a :class:`concurrent.futures.
-  ProcessPoolExecutor` backend: each (simulated) worker's primary units
-  are shipped to a worker process together with its *shard-local* graph —
-  the subgraph induced by the union of its assigned blocks, i.e. exactly
-  the resident share a ``disVal`` fragment holds after prefetching.  The
-  worker process materialises shard-local
+* :class:`MultiprocessExecutor` — a supervised pool of pinned worker
+  processes: each (simulated) worker's primary units are shipped to a
+  worker process together with its *shard-local* graph — the subgraph
+  induced by the union of its assigned blocks, i.e. exactly the resident
+  share a ``disVal`` fragment holds after prefetching.  The worker
+  process materialises shard-local
   :class:`~repro.graph.snapshot.GraphSnapshot`s per block (never the whole
   graph), runs local error detection for real, and returns per-unit
   results for the coordinator to aggregate.
@@ -34,20 +34,21 @@ non-empty worker, at least :data:`AUTO_MIN_PRIMARY_UNITS` primary units,
 and more than one usable CPU — and falls back to ``"simulated"``
 otherwise.
 
-Session mode (persistent pool + warm shards)
+One process path (pinned pool + warm shards)
 --------------------------------------------
 
-:class:`MultiprocessExecutor` additionally supports a *persistent*
-lifecycle for the repeated-validation setting the session layer
-(:class:`~repro.session.ValidationSession`) serves: ``start()`` forks
-long-lived worker processes reused across ``run()`` calls, each plan
-slot pinned to the same process (slot ``w`` → pool worker ``w % size``),
-and each worker keeps a resident-shard cache keyed by ``(run_epoch,
-worker_id)``.  A :class:`ShardCache` on the coordinator mirrors what
-every slot holds so consecutive runs over a reused fragmentation ship
-only the block-share *delta* (or, when nothing changed, nothing at all);
-:class:`ShippingStats` reports full/delta/reuse counts and worker pids
-per run.
+Every process run goes through the same pool: ``start()`` forks worker
+processes, each plan slot pinned to the same process (slot ``w`` → pool
+worker ``w % size``), and each worker keeps a resident-shard cache keyed
+by ``(run_epoch, worker_id)``.  The session layer
+(:class:`~repro.session.ValidationSession`) keeps the pool alive across
+``run()`` calls, and a :class:`ShardCache` on the coordinator mirrors
+what every slot holds so consecutive runs over a reused fragmentation
+ship only the block-share *delta* (or, when nothing changed, nothing at
+all).  A ``run()`` on an unstarted executor starts a pool sized to the
+plan's busy slots, runs once and shuts it down again.  Either way
+:class:`ShippingStats` reports full/delta/reuse counts, worker pids and
+fault activity per run.
 
 Ship modes (the shard plane)
 ----------------------------
@@ -77,12 +78,15 @@ Both modes produce byte-identical results — the differential suite pins
 Fault tolerance (the supervised execution plane)
 ------------------------------------------------
 
-Persistent runs are *supervised*: every worker batch runs under a
+Every process run is *supervised*: every worker batch runs under a
 heartbeat (a daemon beat thread in the worker reports liveness and
 per-batch unit progress at ``FaultPolicy.heartbeat_interval``), and the
 coordinator's dispatch loop (:class:`_PersistentRun`) detects dead
 workers (pipe EOF), silent workers (missed heartbeats) and stalled
-units (``unit_deadline`` overrun on the progress counter).  A failed
+units (``unit_deadline`` overrun on the progress counter).  Those clocks
+start only once the worker process has reported ``ready``: a fresh or
+respawned process's interpreter start-up is bounded separately by
+:data:`WORKER_START_TIMEOUT`, never charged as silence.  A failed
 worker is killed, respawned into the same pool slot, and its in-flight
 batch is requeued with exponential backoff up to
 ``FaultPolicy.max_retries``: full payloads are re-sent as-is (a pickle
@@ -112,7 +116,6 @@ import time
 import traceback
 import warnings
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
@@ -164,6 +167,12 @@ SHM_NAME_PREFIX = "rgfd"
 #: escalating, so a wedged worker can never block shutdown forever
 SHUTDOWN_GRACE = 5.0
 
+#: how long (seconds) a worker batch may wait for its freshly started
+#: process to report ``ready`` — interpreter start-up plus imports, which
+#: a respawned ``forkserver`` worker pays in full; the batch's stall and
+#: unit-deadline clocks start only once the process is up
+WORKER_START_TIMEOUT = 30.0
+
 _SEG_IDS = itertools.count()
 _SHM_WORKS: Optional[bool] = None
 
@@ -197,6 +206,36 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def check_process_knobs(
+    processes: Optional[int],
+    ship_mode: str,
+    fault_policy: Optional[FaultPolicy],
+) -> None:
+    """Reject bad process-backend settings before any process starts.
+
+    The one check shared by :class:`MultiprocessExecutor` and
+    :class:`~repro.session.ValidationSession`: a pool size below one, an
+    unknown ship mode, ``"shm"`` on a host where shared memory does not
+    work, or a ``fault_policy`` that is not a :class:`FaultPolicy`.
+    """
+    if processes is not None and processes < 1:
+        raise ValueError("need at least one process")
+    if ship_mode not in SHIP_MODES:
+        raise ValueError(
+            f"unknown ship_mode {ship_mode!r}; expected one of {SHIP_MODES}"
+        )
+    if ship_mode == "shm" and not shm_available():
+        raise ValueError(
+            "ship_mode='shm' requested but shared memory does not work "
+            "on this host; use 'pickle' or 'auto'"
+        )
+    if fault_policy is not None and not isinstance(fault_policy, FaultPolicy):
+        raise TypeError(
+            "fault_policy must be a FaultPolicy (or None for the defaults, "
+            "overridable via REPRO_FAULT_PLAN)"
+        )
 
 
 def resolve_executor(
@@ -246,44 +285,6 @@ def worker_graph(
     for unit in units:
         needed |= unit.block_nodes
     return graph.induced_subgraph(needed)
-
-
-def _run_worker_units(
-    payload: Tuple[Sequence[GFD], Tuple, List[WorkUnit]]
-) -> List["UnitResult"]:
-    """Worker-process entry point: execute primary units over the shard.
-
-    Module-level (picklable) by construction.  The shard arrives as a
-    tagged reference (see :func:`attach_shard_ref`) — the raw graph on
-    the pickle path, a shared-memory segment name on the shm path.
-    Builds one shard-local :class:`~repro.parallel.engine.
-    BlockMaterialiser` so blocks shared by the worker's own units are
-    indexed once, exactly as on the coordinator path.  One-shot pool
-    workers outlive the task, so a mapped segment is detached in
-    ``finally`` — the coordinator unlinks names only after all futures
-    resolve.
-    """
-    from .engine import (
-        BlockMaterialiser,
-        consolidate_slot_results,
-        execute_unit,
-        expand_count_payloads,
-    )
-
-    sigma, shard_ref, units = payload
-    shard, segment = attach_shard_ref(shard_ref)
-    try:
-        materialiser = BlockMaterialiser(shard)
-        units = expand_count_payloads(units)
-        results = [
-            execute_unit(sigma, shard, unit, materialiser) for unit in units
-        ]
-        consolidate_slot_results(units, results)
-    finally:
-        if segment is not None:
-            shard.drop_snapshot_cache()
-            segment.close()
-    return results
 
 
 #: unique run-epoch tokens for worker-resident cache keys
@@ -416,12 +417,12 @@ def _attach_untracked(name: str):
 def attach_shard_ref(ref: Tuple) -> Tuple[PropertyGraph, Optional[object]]:
     """Worker-side resolution of a shard reference to a live graph.
 
-    ``("pickle", blob_or_graph)`` unpickles (or passes through) the
-    shard; ``("shm", name, layout, arena_nbytes, sidecar_len)`` attaches
-    the named segment, rebuilds the shard graph from the mapped arena +
-    sidecar, and *adopts* the mapped snapshot as the graph's cached
-    indexed view — zero-copy for all nine primary arrays; derived
-    indices are rebuilt locally, exactly as unpickling would.
+    ``("pickle", blob)`` unpickles the shard; ``("shm", name, layout,
+    arena_nbytes, sidecar_len)`` attaches the named segment, rebuilds
+    the shard graph from the mapped arena + sidecar, and *adopts* the
+    mapped snapshot as the graph's cached indexed view — zero-copy for
+    all nine primary arrays; derived indices are rebuilt locally,
+    exactly as unpickling would.
 
     Returns ``(shard, segment)``; ``segment`` is the worker's
     ``SharedMemory`` handle to close when the shard is dropped (``None``
@@ -429,9 +430,7 @@ def attach_shard_ref(ref: Tuple) -> Tuple[PropertyGraph, Optional[object]]:
     """
     tag = ref[0]
     if tag == "pickle":
-        blob = ref[1]
-        shard = unpack_shard(blob) if isinstance(blob, bytes) else blob
-        return shard, None
+        return unpack_shard(ref[1]), None
     if tag != "shm":
         raise ValueError(f"unknown shard ref tag {tag!r}")
     _, name, layout, arena_nbytes, sidecar_len = ref
@@ -691,8 +690,8 @@ class ShippingStats:
     through a pipe, so it is deliberately **excluded** from
     ``shard_bytes`` — a co-located shm run reports ``mapped_bytes > 0``
     with ``shard_bytes ≈ 0``.  ``match_store`` carries the run's
-    worker-resident match-store activity (``None`` until a persistent
-    run reports).  ``block_cache`` likewise aggregates the workers'
+    worker-resident match-store activity (``None`` until a process run
+    reports).  ``block_cache`` likewise aggregates the workers'
     resident block-materialiser activity for the run — after a delta
     shipment, ``builds == 0`` with ``patched > 0`` is the proof that
     the workers patched their materialised blocks in place instead of
@@ -712,7 +711,7 @@ class ShippingStats:
     payload_bytes: int = 0
     match_store: Optional[MatchStoreStats] = None
     block_cache: Optional["MaterialiserStats"] = None
-    #: fault-handling activity (``None`` on unsupervised paths); a
+    #: fault-handling activity (``None`` until a process run reports); a
     #: recovered run's shipping counters include recovery re-shipments —
     #: the fault differential suite pins *results*, not volume
     faults: Optional[FaultStats] = None
@@ -1159,14 +1158,22 @@ def _persistent_worker_main(
     ``worker_index`` and ``incarnation`` identify this process to the
     fault-injection harness (a respawned worker carries the next
     incarnation, which is what stops single-shot fault triggers from
-    re-firing forever).  Batch messages optionally carry the heartbeat
-    cadence and the run's :class:`~repro.parallel.faults.FaultPlan`;
-    the beat thread is stopped and joined *before* the reply is sent,
-    so a reply is always the last message of its batch.
+    re-firing forever).  The first message is ``("ready", pid)``, sent
+    once the process is up: the coordinator starts a batch's liveness
+    clocks from it, not from dispatch.  Batch messages optionally carry
+    the heartbeat cadence and the run's
+    :class:`~repro.parallel.faults.FaultPlan`; the beat thread is
+    stopped and joined *before* the reply is sent, so a reply is always
+    the last message of its batch.
     """
     cache: Dict[Tuple[str, int], _ResidentShard] = {}
     pid = os.getpid()
     send_lock = threading.Lock()
+    try:
+        conn.send(("ready", pid))
+    except (BrokenPipeError, OSError):  # pragma: no cover
+        conn.close()  # the coordinator is gone: nothing left to serve
+        return
     while True:
         try:
             message = conn.recv()
@@ -1315,19 +1322,31 @@ class _BatchState:
     often this batch has been requeued after a fault; ``progress`` /
     ``progress_at`` track the worker's reported per-batch unit counter
     (for the ``unit_deadline``), ``last_signal`` the last heartbeat or
-    dispatch (for the missed-heartbeat stall detector).  Timers only
-    start ticking once the batch is actually sent (:meth:`mark_sent`) —
-    a batch queued behind another on the same worker is not "running".
+    arming (for the missed-heartbeat stall detector).  Those clocks
+    only start ticking once the batch is sent *and* its worker process
+    has reported ``ready`` (:meth:`arm`) — a batch queued behind another
+    on the same worker is not "running", and neither is one waiting for
+    a replacement process to finish starting (``sent_at`` bounds that
+    wait by :data:`WORKER_START_TIMEOUT`).
     """
 
     tasks: List[Tuple]
     attempts: int = 0
+    armed: bool = False
+    sent_at: float = 0.0
     progress: int = -1
     progress_at: float = 0.0
     last_signal: float = 0.0
 
-    def mark_sent(self) -> None:
-        now = time.monotonic()
+    def mark_sent(self, worker_ready: bool) -> None:
+        self.sent_at = time.monotonic()
+        self.armed = False
+        if worker_ready:
+            self.arm(self.sent_at)
+
+    def arm(self, now: float) -> None:
+        """Start the stall and unit-deadline clocks at ``now``."""
+        self.armed = True
         self.last_signal = now
         self.progress_at = now
         self.progress = -1
@@ -1338,12 +1357,12 @@ class _BatchState:
 
 
 class _PersistentRun:
-    """One supervised run over the persistent pool: ship, watch, recover.
+    """One supervised run over the worker pool: ship, watch, recover.
 
     The coordinator half of the fault-tolerant execution plane.  It
-    builds per-slot shipping payloads (exactly as unsupervised runs
-    did), dispatches one batch message per pool worker, then *polls*
-    the worker pipes instead of blocking on replies: heartbeats refresh
+    builds per-slot shipping payloads, dispatches one batch message per
+    pool worker, then *polls* the worker pipes instead of blocking on
+    replies: ``"ready"`` arms a batch's clocks, heartbeats refresh
     liveness and per-unit progress, ``"ok"`` completes a batch,
     ``"err"``/pipe-EOF/silence/deadline-overrun trigger recovery — kill
     and respawn the slot's worker (next incarnation), requeue its
@@ -1536,17 +1555,18 @@ class _PersistentRun:
             )
         except (BrokenPipeError, OSError):
             pass  # repro-lint: disable=RPL050 -- dead pipe surfaces as an EOF crash in the poll loop, which requeues this batch
-        batch.mark_sent()
+        batch.mark_sent(index in self.pool._ready)
 
     # -- supervision ---------------------------------------------------
     def execute(self) -> List[Tuple]:
         """Dispatch every slot's batch and supervise until all reply."""
-        grouped: Dict[int, List[Tuple]] = {}
+        grouped: Dict[int, List[int]] = {}
         for worker in self.busy:
-            grouped.setdefault(self._route_slot(worker), []).append(
-                self._build_task(worker)
-            )
-        for index, tasks in grouped.items():
+            grouped.setdefault(self._route_slot(worker), []).append(worker)
+        for index, slots in grouped.items():
+            # Each pool worker's batch is sent as soon as it is built,
+            # so that worker computes while later shards are still cut.
+            tasks = [self._build_task(worker) for worker in slots]
             self._dispatch(index, _BatchState(tasks=tasks))
         while self.pending:
             self._poll_once()
@@ -1585,6 +1605,11 @@ class _PersistentRun:
                 self.pending.pop(index, None)
                 continue
             head = queue[0]
+            if not head.armed:
+                if now - head.sent_at > WORKER_START_TIMEOUT:
+                    self._on_failure(index, "stall")
+                    return
+                continue
             if now - head.last_signal > self.policy.stall_timeout:
                 self._on_failure(index, "stall")
                 return
@@ -1616,7 +1641,11 @@ class _PersistentRun:
             return True
         kind = message[0]
         now = time.monotonic()
-        if kind == "hb":
+        if kind == "ready":
+            self.pool._ready.add(index)
+            if not head.armed:
+                head.arm(now)
+        elif kind == "hb":
             head.last_signal = now
             self.stats.faults.record_heartbeat(now - message[3])
             progress = message[2]
@@ -1722,38 +1751,32 @@ class _PersistentRun:
 
 
 class MultiprocessExecutor:
-    """Real parallel execution in worker processes, one-shot or persistent.
+    """Real parallel execution in a supervised pool of worker processes.
 
     Each non-empty worker of the plan becomes one task: its primary units
     plus the shard-local graph they need (see :func:`worker_graph`) are
-    pickled to a worker process, which indexes the shard and detects
+    shipped to a worker process, which indexes the shard and detects
     violations for real.  Snapshots travel compactly
     (:meth:`~repro.graph.snapshot.GraphSnapshot.__getstate__` ships
     primary CSR state only) and graphs drop their cached whole-graph
     snapshot on the wire.
 
-    Two lifecycles:
+    :meth:`start` forks pinned worker processes: plan slot ``w`` is
+    always served by pool worker ``w % size``, and each worker process
+    keeps a resident-shard cache keyed by ``(run_epoch, worker_id)`` —
+    so a warm run on a started pool (what
+    :class:`~repro.session.ValidationSession` holds) ships only the
+    block-share delta a :class:`ShardCache` computes (or nothing at
+    all), and reuses the worker's shard, snapshot and block cache.
+    :meth:`shutdown` (or the context manager) ends the pool.  A
+    :meth:`run` on an unstarted executor starts a pool of
+    ``min(processes or busy, busy)`` workers for the plan's ``busy``
+    slots, runs once under the same supervision and shuts it down.
 
-    * **one-shot** (the default, what ``executor="process"`` on the
-      stateless entry points uses): every :meth:`run` spins a
-      :class:`ProcessPoolExecutor`, ships full shards, and tears the pool
-      down — stateless and self-contained.
-    * **persistent** (what :class:`~repro.session.ValidationSession`
-      uses): :meth:`start` forks long-lived pinned worker processes that
-      survive across :meth:`run` calls.  Plan slot ``w`` is always served
-      by pool worker ``w % size``, and each worker process keeps a
-      resident-shard cache keyed by ``(run_epoch, worker_id)`` — so a
-      warm run ships only the block-share delta a :class:`ShardCache`
-      computes (or nothing at all), and reuses the worker's shard,
-      snapshot and block cache.  :meth:`shutdown` (or the context
-      manager) ends the pool.
-
-    Both lifecycles execute the same per-unit detection code and produce
-    identical results.  ``processes`` caps the pool size.
-    ``start_method`` defaults to ``"fork"`` where available — workers
-    then share the parent's hash seed, though result equality does not
-    depend on it: violation sets compare by value and step counts are
-    enumeration-order independent.
+    ``processes`` caps the pool size.  ``start_method`` defaults to
+    ``"fork"`` where available — workers then share the parent's hash
+    seed, though result equality does not depend on it: violation sets
+    compare by value and step counts are enumeration-order independent.
     """
 
     name = "process"
@@ -1766,25 +1789,11 @@ class MultiprocessExecutor:
         ship_mode: str = "auto",
         fault_policy: Optional[FaultPolicy] = None,
     ) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError("need at least one process")
-        if ship_mode not in SHIP_MODES:
-            raise ValueError(
-                f"unknown ship_mode {ship_mode!r}; expected one of {SHIP_MODES}"
-            )
-        if ship_mode == "shm" and not shm_available():
-            raise ValueError(
-                "ship_mode='shm' requested but shared memory does not work "
-                "on this host; use 'pickle' or 'auto'"
-            )
-        if fault_policy is not None and not isinstance(fault_policy, FaultPolicy):
-            raise TypeError(
-                "fault_policy must be a FaultPolicy (or None for defaults)"
-            )
+        check_process_knobs(processes, ship_mode, fault_policy)
         self.processes = processes
         #: how full shards travel (see the module docstring's Ship modes)
         self.ship_mode = ship_mode
-        #: default supervision knobs for persistent runs (``None`` means
+        #: default supervision knobs for every run (``None`` means
         #: defaults + any ``REPRO_FAULT_PLAN`` overrides, resolved per run)
         self.fault_policy = fault_policy
         self._plane: Optional[ShardPlane] = None
@@ -1806,24 +1815,26 @@ class MultiprocessExecutor:
         self._conns: List = []
         #: respawn count per pool slot (the fault harness's incarnation)
         self._incarnations: Dict[int, int] = {}
-        #: shipping record of the most recent persistent run
+        #: pool slots whose current process has reported ``ready``
+        self._ready: Set[int] = set()
+        #: shipping record of the most recent run
         self.last_shipping: Optional[ShippingStats] = None
 
     # ------------------------------------------------------------------
-    # persistent-pool lifecycle
+    # pool lifecycle
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        """Whether a persistent pool is up."""
+        """Whether the pool is up."""
         return bool(self._procs)
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the persistent pool (empty when not started;
+        """PIDs of the pool (empty when not started;
         degraded slots are skipped)."""
         return [proc.pid for proc in self._procs if proc is not None]
 
     def start(self, size: Optional[int] = None) -> "MultiprocessExecutor":
-        """Fork the persistent pool (idempotent).
+        """Fork the worker pool (idempotent).
 
         ``size`` defaults to ``processes`` (or usable CPUs when unset).
         An explicit request above the usable CPU count is *honoured* —
@@ -1839,7 +1850,7 @@ class MultiprocessExecutor:
         cpus = usable_cpus()
         if size > cpus:
             warnings.warn(
-                f"starting {size} persistent worker processes on {cpus} "
+                f"starting {size} worker processes on {cpus} "
                 "usable CPU(s): the explicit request is honoured, but the "
                 "pool is oversubscribed",
                 RuntimeWarning,
@@ -1902,6 +1913,7 @@ class MultiprocessExecutor:
                 proc.kill()
             _reap_process(proc)
             self._procs[index] = None
+        self._ready.discard(index)
         incarnation = self._incarnations.get(index, 0) + 1
         self._incarnations[index] = incarnation
         try:
@@ -1931,13 +1943,14 @@ class MultiprocessExecutor:
                 proc.kill()
             _reap_process(proc)
         self._procs[index] = None
+        self._ready.discard(index)
 
     def _live_indices(self) -> List[int]:
         """Pool slots still holding a live worker process."""
         return [i for i, proc in enumerate(self._procs) if proc is not None]
 
     def shutdown(self) -> None:
-        """Stop the persistent pool (idempotent; one-shot runs unaffected).
+        """Stop the worker pool (idempotent).
 
         Teardown escalates per worker — ``join(timeout)`` →
         ``terminate()`` → ``kill()`` — so a wedged or fault-injected
@@ -1963,6 +1976,7 @@ class MultiprocessExecutor:
             self._procs.clear()
             self._conns.clear()
             self._incarnations.clear()
+            self._ready.clear()
             if self._plane is not None:
                 self._plane.close()
                 self._plane = None
@@ -2010,8 +2024,10 @@ class MultiprocessExecutor:
         Returns per-worker result lists aligned with ``plan``: one
         :class:`~repro.parallel.engine.UnitResult` per primary unit,
         ``None`` per replica — the same shape :class:`SimulatedExecutor`
-        produces.  On a started (persistent) pool, ``shard_cache`` turns
-        on warm shard shipping; without one, every run ships full shards.
+        produces.  On a started pool, ``shard_cache`` turns on warm shard
+        shipping; without one, every run ships full shards.  An unstarted
+        executor starts a pool of ``min(processes or busy, busy)``
+        workers for this run alone and shuts it down afterwards.
         ``sigma_key`` identifies the rule set so a warm slot reships Σ —
         and only Σ — when it changed since the slot's last run.
         ``fault_policy`` overrides the executor's supervision knobs for
@@ -2025,27 +2041,17 @@ class MultiprocessExecutor:
         policy = resolve_fault_policy(
             fault_policy if fault_policy is not None else self.fault_policy
         )
-        if self._procs:
+        temporary = bool(busy) and not self._procs
+        if temporary:
+            self.start(min(self.processes or len(busy), len(busy)))
+        try:
             results = self._run_persistent(
                 sigma, graph, primaries, busy, shard_cache, epoch,
                 sigma_key, policy,
             )
-        elif busy and policy.plan is not None and not policy.plan.worker_empty:
-            # An active worker-side fault plan on an ad-hoc run: route
-            # through a supervised temporary pool so injection — and the
-            # recovery it exercises — covers the whole differential
-            # matrix (rep_val/dis_val/execute_plan), not just session
-            # pools.  Fault-free ad-hoc runs keep the one-shot path.
-            self.start(min(self.processes or len(busy), len(busy)))
-            try:
-                results = self._run_persistent(
-                    sigma, graph, primaries, busy, shard_cache, epoch,
-                    sigma_key, policy,
-                )
-            finally:
+        finally:
+            if temporary:
                 self.shutdown()
-        else:
-            results = self._run_oneshot(sigma, graph, primaries, busy)
         aligned: List[List[Optional["UnitResult"]]] = []
         for worker, worker_units in enumerate(plan):
             worker_results = iter(results.get(worker, ()))
@@ -2056,54 +2062,6 @@ class MultiprocessExecutor:
                 ]
             )
         return aligned
-
-    def _run_oneshot(
-        self,
-        sigma: Sequence[GFD],
-        graph: PropertyGraph,
-        primaries: List[List[WorkUnit]],
-        busy: List[int],
-    ) -> Dict[int, List["UnitResult"]]:
-        results: Dict[int, List["UnitResult"]] = {}
-        if not busy:
-            return results
-        pool_size = min(self.processes or len(busy), len(busy))
-        cpus = max(1, usable_cpus())
-        if pool_size > cpus:
-            warnings.warn(
-                f"one-shot pool of {pool_size} worker processes on {cpus} "
-                "usable CPU(s): the explicit request is honoured, but the "
-                "pool is oversubscribed",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        plane: Optional[ShardPlane] = None
-        context = multiprocessing.get_context(self.start_method)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=context
-            ) as pool:
-                futures = {}
-                for worker in busy:
-                    shard = worker_graph(graph, primaries[worker])
-                    if self._map_shard(shard):
-                        if plane is None:
-                            plane = ShardPlane()
-                        ref, _ = plane.publish(worker, shard)
-                    else:
-                        ref = ("pickle", shard)
-                    futures[worker] = pool.submit(
-                        _run_worker_units, (sigma, ref, primaries[worker])
-                    )
-                for worker, future in futures.items():
-                    results[worker] = future.result()
-        finally:
-            # Workers attach during task execution and detach in their
-            # own ``finally``; every future is resolved by here, so the
-            # names can be retired unconditionally.
-            if plane is not None:
-                plane.close()
-        return results
 
     def _run_persistent(
         self,
@@ -2180,9 +2138,10 @@ def execute_plan(
     ``match_store`` only apply to the simulated backend — worker
     processes always build their own shard-local materialiser and keep
     their own resident match stores.  ``pool`` supplies a caller-owned
-    :class:`MultiprocessExecutor` (a session's persistent pool) for the
-    process backend; ``shard_cache``/``epoch`` enable warm shard shipping
-    on a started pool.  ``ship_mode`` selects how an *ad-hoc* pool ships
+    :class:`MultiprocessExecutor` (a session's long-lived pool) for the
+    process backend — without one, a temporary pool serves this run;
+    ``shard_cache``/``epoch`` enable warm shard shipping on a started
+    pool.  ``ship_mode`` selects how an *ad-hoc* pool ships
     full shards (see :data:`SHIP_MODES`); a caller-owned ``pool`` keeps
     the mode it was constructed with.  ``fault_policy`` sets this run's
     supervision knobs (see the module docstring's "Fault tolerance");

@@ -263,8 +263,9 @@ class FaultStats:
 
     ``crashes`` counts worker deaths detected (pipe EOF, injected
     exits, OOM kills — and, on the service, applier exceptions);
-    ``stalls`` counts missed-heartbeat / unit-deadline overruns that got
-    the worker killed; ``worker_errors`` counts structured ``"err"``
+    ``stalls`` counts missed-heartbeat / unit-deadline overruns (and
+    worker start-ups that never reported ``ready``) that got the worker
+    killed; ``worker_errors`` counts structured ``"err"``
     replies absorbed by retry.  ``respawns`` counts replacement workers
     forked (applier restarts, on the service), ``retried_units`` the
     work units (ops, on the service) requeued after a fault, and

@@ -57,9 +57,12 @@ def rep_val(
     (``"pickle"``/``"shm"``/``"auto"`` — the shard plane).
 
     This is a thin facade over the session layer: each call constructs a
-    throwaway (non-persistent) :class:`~repro.session.ValidationSession`
-    and runs one replicated validation — identical results, no state kept.
-    Repeated-validation workloads should hold a session instead and call
+    throwaway :class:`~repro.session.ValidationSession` and runs one
+    replicated validation — identical results, no state kept.  A process
+    run starts the session's supervised pool with at most ``n`` workers
+    and shuts it down on return; ``run.shipping`` reports what it
+    shipped, fault recoveries included.  Repeated-validation workloads
+    should hold a session instead and call
     :meth:`~repro.session.ValidationSession.validate` to reuse the worker
     pool, shards, and workload estimates.
     """
@@ -69,9 +72,8 @@ def rep_val(
         graph,
         sigma,
         executor=executor,
-        processes=processes,
+        processes=n if processes is None else min(processes, n),
         cost_model=cost_model,
-        persistent=False,
         ship_mode=ship_mode,
     ) as session:
         return session.validate(

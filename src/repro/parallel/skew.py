@@ -11,7 +11,7 @@ In this reproduction the *primary* sub-unit executes the detection once
 (so ``Vio(Σ, G)`` stays exact) while the measured matching cost is shared
 evenly across all ``k`` sub-units' workers, and each non-primary replica
 is charged its partial-match shipment — the parallel-time effect of the
-real sharded enumeration (DESIGN.md §1.3 records this substitution).
+real sharded enumeration.
 """
 
 from __future__ import annotations

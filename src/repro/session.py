@@ -35,8 +35,9 @@ amortises it across calls:
   shards.
 
 The stateless API is now a facade: ``rep_val``/``dis_val`` construct a
-throwaway (non-persistent) session per call, so they keep working
-verbatim and produce identical results by construction.
+throwaway session per call, so they keep working verbatim and produce
+identical results by construction; a process run there starts the
+session's supervised pool for the call and shuts it down on return.
 
 Contract: route every graph mutation through :meth:`update` (the same
 rule :class:`IncrementalValidator` imposes).  Structural out-of-band
@@ -98,15 +99,14 @@ from .parallel.engine import (
 from .parallel.executors import (
     EXECUTORS,
     MATCH_STORE_BUDGET,
-    SHIP_MODES,
     MatchStore,
     MatchStoreStats,
     MultiprocessExecutor,
     ShardCache,
     ShippingStats,
+    check_process_knobs,
     next_epoch,
     resolve_executor,
-    shm_available,
 )
 from .parallel.faults import FaultPolicy
 from .parallel.multiquery import (
@@ -211,11 +211,12 @@ class ValidationSession:
     (overridable per :meth:`validate` call); ``ship_mode`` fixes how the
     session's process runs ship full shards (``"pickle"`` blobs,
     ``"shm"`` zero-copy shared-memory arenas, or size-based ``"auto"`` —
-    see the shard plane in ``parallel/executors.py``).
-    ``persistent=True`` (the
-    default) keeps the process pool and worker shard caches alive across
-    runs; the stateless facade uses ``persistent=False`` throwaway
-    sessions, which behave exactly like the pre-session code paths.
+    see the shard plane in ``parallel/executors.py``).  The first
+    process-backed run starts a supervised worker pool of ``processes``
+    workers (usable CPUs when unset); the pool and its workers' shard
+    caches stay alive across runs until :meth:`close`.  The stateless
+    facade (``rep_val``/``dis_val``) wraps one run in a throwaway
+    session, so its pool lives exactly as long as that run.
 
     Use as a context manager (or call :meth:`close`) so the pool is torn
     down deterministically.
@@ -228,7 +229,6 @@ class ValidationSession:
         executor: str = "auto",
         processes: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
-        persistent: bool = True,
         match_store_budget: int = MATCH_STORE_BUDGET,
         ship_mode: str = "auto",
         fault_policy: Optional["FaultPolicy"] = None,
@@ -237,26 +237,9 @@ class ValidationSession:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
-        if processes is not None and processes < 1:
-            raise ValueError("need at least one process")
+        check_process_knobs(processes, ship_mode, fault_policy)
         if match_store_budget < 0:
             raise ValueError("match_store_budget must be >= 0")
-        if ship_mode not in SHIP_MODES:
-            raise ValueError(
-                f"unknown ship_mode {ship_mode!r}; expected one of {SHIP_MODES}"
-            )
-        if ship_mode == "shm" and not shm_available():
-            raise ValueError(
-                "ship_mode='shm' requested but shared memory does not work "
-                "on this platform; use 'pickle' or 'auto'"
-            )
-        if fault_policy is not None and not isinstance(
-            fault_policy, FaultPolicy
-        ):
-            raise TypeError(
-                "fault_policy must be a FaultPolicy (or None for the "
-                "defaults, overridable via REPRO_FAULT_PLAN)"
-            )
         self.graph = graph
         self.sigma = list(sigma)
         self.executor = executor
@@ -273,7 +256,6 @@ class ValidationSession:
         #: run time (see ``parallel/faults.py``).
         self.fault_policy = fault_policy
         self.cost_model = cost_model
-        self.persistent = persistent
         #: matches retained per resident match store (worker-side on the
         #: process backend, coordinator-side on the simulated one);
         #: ``0`` disables resident-match replay entirely.
@@ -1007,7 +989,7 @@ class ValidationSession:
         invalidated with it, because slot→process pinning (``w % size``)
         changes with the size.
         """
-        if resolved != "process" or not self.persistent:
+        if resolved != "process":
             return None, None, None
         if (
             self._pool is not None

@@ -1,4 +1,4 @@
-"""Tests for the dataset stand-ins (DESIGN.md §1.3 substitutions)."""
+"""Tests for the dataset stand-ins for the paper's real-life graphs."""
 
 
 from repro.core import det_vio, satisfies, violation_entities

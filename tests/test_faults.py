@@ -1,6 +1,6 @@
 """The fault-tolerant execution plane (PR 10): recovered ≡ fault-free.
 
-Four pillars:
+Five pillars:
 
 * **plan/policy surface** — ``FaultPlan.from_spec`` (the
   ``REPRO_FAULT_PLAN`` JSON format) parses, pads and *rejects* exactly
@@ -12,6 +12,9 @@ Four pillars:
   byte-identical to the fault-free run's, with ``ShippingStats.faults``
   proving the fault actually fired — a recovery pin over a silent miss
   proves nothing;
+* **start-up liveness and ad-hoc runs** — a slow worker start-up is
+  not silence, a hung one is bounded by ``WORKER_START_TIMEOUT``, and
+  ``rep_val``/``dis_val`` run supervised and report their faults;
 * **failure paths** — retry exhaustion and zero-retry policies fail
   loudly ("lost a process"), and the pool is torn down clean;
 * **service applier supervision** — an injected applier exception is
@@ -28,18 +31,21 @@ delay plans in both ship modes.
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import pytest
 
 from repro import ValidationService, ValidationSession, det_vio
 from repro.core import generate_gfds
-from repro.graph import power_law_graph
+from repro.graph import hash_partition, power_law_graph
 from repro.parallel import (
     FAULT_PLAN_ENV,
     FaultPlan,
     FaultPolicy,
     FaultStats,
+    dis_val,
+    rep_val,
     resolve_fault_policy,
     shm_available,
 )
@@ -298,6 +304,82 @@ class TestRecoveryDifferential:
             (m.gfd.name, m.support, m.confidence) for m in faulted.rules
         ]
         assert clean.violations == faulted.violations
+
+
+class TestStartUpLiveness:
+    """A worker's start-up is not batch silence: the stall and deadline
+    clocks arm on its ``ready``, and only a start-up that never ends
+    (past ``WORKER_START_TIMEOUT``) counts as a stall."""
+
+    @pytest.fixture
+    def first_life_delay(self, monkeypatch):
+        """Delay pool worker 0's first incarnation before it comes up.
+
+        Workers — replacements included — fork from this process, so
+        they run the patched entry point directly.
+        """
+        from repro.parallel import executors
+
+        real_main = executors._persistent_worker_main
+
+        def install(seconds):
+            def delayed_main(conn, index=0, incarnation=0):
+                if index == 0 and incarnation == 0:
+                    time.sleep(seconds)
+                real_main(conn, index, incarnation)
+
+            monkeypatch.setattr(
+                executors, "_persistent_worker_main", delayed_main
+            )
+            monkeypatch.setattr(
+                executors.MultiprocessExecutor, "_clean_start_method",
+                staticmethod(lambda: "fork"),
+            )
+            return executors
+
+        return install
+
+    def test_slow_start_is_not_silence(self, first_life_delay):
+        """Twice the stall timeout of start-up, then a healthy batch."""
+        first_life_delay(2 * FaultPolicy(**FAST).stall_timeout)
+        graph, sigma = workload()
+        run = fault_run(graph, sigma, plan=None)
+        assert run.violations == det_vio(sigma, graph)
+        assert not run.shipping.faults.faulted
+        assert run.shipping.faults.respawns == 0
+
+    def test_hung_start_is_bounded(self, first_life_delay, monkeypatch):
+        executors = first_life_delay(60.0)
+        monkeypatch.setattr(executors, "WORKER_START_TIMEOUT", 0.5)
+        graph, sigma = workload()
+        run = fault_run(graph, sigma, plan=None)
+        assert run.violations == det_vio(sigma, graph)
+        assert run.shipping.faults.stalls >= 1
+        assert run.shipping.faults.respawns >= 1
+
+
+class TestAdHocSupervision:
+    """The stateless facades run on the same supervised pool as sessions,
+    so an env-injected crash is recovered *and* visible on their runs."""
+
+    CRASH_ONCE = '{"crashes": [[0, 0, 1]], "policy": {"backoff": 0.01}}'
+
+    def test_rep_val_reports_recovered_crash(self, monkeypatch):
+        graph, sigma = workload()
+        expected = det_vio(sigma, graph)
+        monkeypatch.setenv(FAULT_PLAN_ENV, self.CRASH_ONCE)
+        run = rep_val(sigma, graph, n=2, executor="process", processes=2)
+        assert run.violations == expected
+        assert run.shipping.faults.respawns >= 1
+
+    def test_dis_val_reports_recovered_crash(self, monkeypatch):
+        graph, sigma = workload()
+        expected = det_vio(sigma, graph)
+        fragmentation = hash_partition(graph, 2, seed=0)
+        monkeypatch.setenv(FAULT_PLAN_ENV, self.CRASH_ONCE)
+        run = dis_val(sigma, fragmentation, executor="process")
+        assert run.violations == expected
+        assert run.shipping.faults.respawns >= 1
 
 
 class TestFailurePaths:

@@ -2,7 +2,8 @@
 
 The central pin of the execution-backend work: for every seeded workload,
 assignment strategy, and worker count below, the cost-simulated serial
-backend and the real :class:`ProcessPoolExecutor` backend produce
+backend and the real :class:`MultiprocessExecutor` backend (the
+supervised worker pool) produce
 
 * identical violation sets (both equal to sequential ``detVio``),
 * identical per-unit :class:`UnitResult`s (violations, measured steps,

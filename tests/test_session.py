@@ -58,7 +58,7 @@ class TestCompatShim:
             warnings.simplefilter("error")  # any warning fails the test
             shim = rep_val(sigma, graph, n=4)
             with ValidationSession(
-                graph, sigma, executor="simulated", persistent=False
+                graph, sigma, executor="simulated"
             ) as session:
                 direct = session.validate(n=4)
         assert shim == direct  # every field: violations, report, extras
@@ -73,7 +73,7 @@ class TestCompatShim:
             warnings.simplefilter("error")
             shim = dis_val(sigma, fragmentation)
             with ValidationSession(
-                graph, sigma, executor="simulated", persistent=False
+                graph, sigma, executor="simulated"
             ) as session:
                 direct = session.validate(fragmentation=fragmentation)
         assert shim == direct
@@ -84,7 +84,7 @@ class TestCompatShim:
         shim = rep_val(sigma, graph, n=3, assignment="random", seed=5,
                        optimize=False)
         with ValidationSession(
-            graph, sigma, executor="simulated", persistent=False
+            graph, sigma, executor="simulated"
         ) as session:
             direct = session.validate(n=3, assignment="random", seed=5,
                                       optimize=False)

@@ -11,6 +11,7 @@ Everything here complements the executor differential matrix in
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -457,7 +458,7 @@ class TestShipModeValidation:
         monkeypatch.setattr(executors, "shm_available", lambda: False)
         with pytest.raises(ValueError, match="shared memory"):
             MultiprocessExecutor(ship_mode="shm")
-        monkeypatch.setattr(repro.session, "shm_available", lambda: False)
+        # the session validates through the same executors check
         with pytest.raises(ValueError, match="shared memory"):
             ValidationSession(graph, sigma, ship_mode="shm")
 
@@ -496,7 +497,7 @@ class TestOversubscription:
         finally:
             pool.shutdown()
 
-    def test_oneshot_run_warns_and_honours(self):
+    def test_adhoc_run_warns_and_honours(self):
         from repro.parallel.executors import usable_cpus
 
         graph, sigma = workload()
@@ -507,3 +508,39 @@ class TestOversubscription:
                 sigma, graph, n=n, executor="process", processes=n
             )
         assert run.violations == expected
+
+
+class TestAdHocRuns:
+    """Stateless process runs go through the supervised pool: sized by
+    the plan, reported on ``run.shipping``, and gone once they return."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rep_val_starts_at_most_n_workers(self, monkeypatch, n):
+        slots = set()
+        spawn = MultiprocessExecutor._spawn_worker
+
+        def recording_spawn(pool, index, *args, **kwargs):
+            slots.add(index)
+            return spawn(pool, index, *args, **kwargs)
+
+        monkeypatch.setattr(
+            MultiprocessExecutor, "_spawn_worker", recording_spawn
+        )
+        graph, sigma = workload()
+        run = rep_val(sigma, graph, n=n, executor="process")
+        assert run.violations == det_vio(sigma, graph)
+        assert 1 <= len(set(run.shipping.worker_pids.values())) <= n
+        assert slots <= set(range(n))
+
+    @needs_shm
+    def test_nothing_outlives_the_call(self):
+        graph, sigma = workload()
+        run = rep_val(sigma, graph, n=2, executor="process", ship_mode="shm")
+        assert run.shipping.mapped >= 1
+        assert run.shipping.worker_pids
+        children = {child.pid for child in multiprocessing.active_children()}
+        for pid in run.shipping.worker_pids.values():
+            assert pid not in children
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert leaked_segments() == []
