@@ -4,9 +4,9 @@ An AST-based lint pass whose rules encode this codebase's *own*
 invariants — the bug classes PRs 1–8's differential suites kept
 re-catching dynamically: order-dependent iteration (RPL001/002),
 lock-discipline holes (RPL010), shm lifecycle splits (RPL020–022),
-shipping-accounting drift (RPL030), non-exhaustive work-unit
-dispatch (RPL040/041), and silently swallowed exceptions in the
-fault-tolerant execution plane (RPL050).  Run it with::
+shipping-accounting drift (RPL030), non-exhaustive work-unit dispatch
+(RPL040/041), update-op kinds read outside their module (RPL042), and
+swallowed exceptions in the fault-tolerant plane (RPL050).  Run it with::
 
     PYTHONPATH=src python -m repro.analysis
 

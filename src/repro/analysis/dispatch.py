@@ -17,6 +17,9 @@ results are dropped, not raised — which is why this is a cross-file
 
 Both rules stay silent when the project has no dispatcher of that name
 (fixture trees must supply one to exercise them).
+
+Update-op kinds are dispatched in one module only: RPL042 flags a
+comparison with one outside ``repro/graph/updates.py``.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..graph.updates import OP_KINDS
 from .framework import (
     Finding,
     ModuleContext,
     ProjectContext,
     ProjectRule,
+    Rule,
     call_name,
     register,
 )
@@ -168,3 +173,33 @@ class ConsolidateDispatchRule(_DispatchRule):
     name = "consolidate-dispatch-exhaustive"
     dispatcher = "consolidate_slot_results"
     consequence = "be silently dropped at consolidation"
+
+
+@register
+class UpdateOpKindRule(Rule):
+    """Update-op kinds are compared only in ``repro/graph/updates.py``.
+
+    Nine interpreters in five modules once each decided what an op kind
+    means, so one op was accepted in one place and crashed in another
+    after the graph had changed.  A ``kind == "attr"`` elsewhere is a new
+    interpreter: call the vocabulary, or suppress inline for a different
+    tuple protocol that reuses a kind name.
+    """
+
+    code = "RPL042"
+    name = "update-op-kind-outside-vocabulary"
+
+    def applies_to(self, module: ModuleContext) -> bool:
+        return not module.path.endswith("graph/updates.py")
+
+    def check_module(self, module: ModuleContext) -> Iterable[Finding]:
+        for node in module.nodes(ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                elements = getattr(operand, "elts", [operand])
+                kinds = [e.value for e in elements if isinstance(
+                    e, ast.Constant) and e.value in OP_KINDS]
+                if kinds:
+                    yield module.finding(self.code, node, (
+                        f"comparison with update-op kind {kinds[0]!r}; "
+                        "only repro/graph/updates.py interprets op kinds"))
+                    break

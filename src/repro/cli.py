@@ -234,11 +234,11 @@ def cmd_bench(args, out: TextIO) -> int:
 def cmd_serve(args, out: TextIO) -> int:
     """Continuous validation over a stream of update ops.
 
-    Ops arrive as JSON lines — one op ``["attr", node, attr, value]`` or
-    one batch ``[["edge+", u, v, label], ...]`` per line — from
-    ``--replay FILE`` or stdin.  Each applied batch's violation diff is
-    written as it is emitted; a summary (service counters, final
-    violation count, p99 apply latency) closes the stream.  Exit code 0
+    Update ops (README, "Update ops") arrive as JSON lines, one op or one
+    batch of ops per line, from ``--replay FILE`` or stdin.  Each applied
+    batch's violation diff is written as it is emitted; a summary
+    (service counters, final violation count, p99 apply latency) closes
+    the stream.  Exit code 0
     when the final graph satisfies every rule, 1 otherwise.
     """
     from .parallel.executors import usable_cpus

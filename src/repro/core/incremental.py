@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Sequence, Set
 
 from ..graph.graph import NodeId, PropertyGraph
+from ..graph.updates import apply_op, check_ops, is_structural, op_nodes
 from ..matching.vf2 import SubgraphMatcher
 from .gfd import GFD
 from .satisfaction import match_satisfies_all
@@ -147,31 +148,52 @@ class IncrementalValidator:
     # ------------------------------------------------------------------
     # update API
     # ------------------------------------------------------------------
-    def set_attr(self, node: NodeId, attr: str, value: Any) -> UpdateDiff:
-        """Set an attribute and refresh affected violations.
+    def apply(self, op: tuple) -> UpdateDiff:
+        """Apply one checked op and re-validate every GFD around it.
 
-        Returns the update's :class:`UpdateDiff` — the set content is
-        the newly-introduced violations, ``.removed`` the resolved ones.
+        Only matches *containing* one of the op's nodes can change status
+        (an attribute flip changes their literals; an edge change creates
+        or destroys them through its endpoints), so exactly those verdicts
+        are dropped and exactly those matches re-checked.  Returns the
+        exact :class:`UpdateDiff`: ``fresh - stale`` appeared with this
+        op, ``stale - fresh`` disappeared.  An op the graph rejects
+        raises with the graph and the maintained set unchanged.
         """
-        self.graph.set_attr(node, attr, value)
-        return self._refresh({node}, structural=False)
+        apply_op(self.graph, op)
+        touched = set(op_nodes(op))
+        if is_structural(op):
+            self._matchers.clear()
+        diff = UpdateDiff()
+        for index, gfd in enumerate(self.sigma):
+            stale = {
+                v
+                for v in self.violations
+                if v.gfd_name == (gfd.name or "gfd") and (v.nodes() & touched)
+            }
+            self.violations -= stale
+            fresh = self._violations_touching(index, gfd, touched)
+            self.violations |= fresh
+            diff |= fresh - stale
+            diff.removed |= stale - fresh
+        return diff
+
+    def set_attr(self, node: NodeId, attr: str, value: Any) -> UpdateDiff:
+        """Set an attribute and refresh affected violations."""
+        return self.apply(("attr", node, attr, value))
 
     def add_edge(self, src: NodeId, dst: NodeId, label: str) -> UpdateDiff:
         """Insert an edge and refresh affected violations."""
-        self.graph.add_edge(src, dst, label)
-        return self._refresh({src, dst}, structural=True)
+        return self.apply(("edge+", src, dst, label))
 
     def remove_edge(self, src: NodeId, dst: NodeId, label: str) -> UpdateDiff:
         """Delete an edge and refresh affected violations."""
-        self.graph.remove_edge(src, dst, label)
-        return self._refresh({src, dst}, structural=True)
+        return self.apply(("edge-", src, dst, label))
 
     def add_node(
         self, node: NodeId, label: str, attrs: Optional[Dict[str, Any]] = None
     ) -> UpdateDiff:
         """Insert a node (with attributes) and refresh affected violations."""
-        self.graph.add_node(node, label, attrs)
-        return self._refresh({node}, structural=True)
+        return self.apply(("node", node, label, attrs))
 
     def rebuild(self) -> None:
         """Recompute from scratch (after out-of-band mutations)."""
@@ -191,34 +213,6 @@ class IncrementalValidator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _refresh(
-        self, touched: Set[NodeId], structural: bool
-    ) -> UpdateDiff:
-        """Re-validate every GFD around the touched nodes.
-
-        Only matches *containing* a touched node can change status (an
-        attribute flip changes their literals; an edge change creates or
-        destroys them through its endpoints), so exactly those verdicts
-        are dropped and exactly those matches re-checked.  Returns the
-        exact :class:`UpdateDiff`: ``fresh - stale`` appeared with this
-        update, ``stale - fresh`` disappeared.
-        """
-        if structural:
-            self._matchers.clear()
-        diff = UpdateDiff()
-        for index, gfd in enumerate(self.sigma):
-            stale = {
-                v
-                for v in self.violations
-                if v.gfd_name == (gfd.name or "gfd") and (v.nodes() & touched)
-            }
-            self.violations -= stale
-            fresh = self._violations_touching(index, gfd, touched)
-            self.violations |= fresh
-            diff |= fresh - stale
-            diff.removed |= stale - fresh
-        return diff
-
     def _violations_touching(
         self, index: int, gfd: GFD, touched: Set[NodeId]
     ) -> Set[Violation]:
@@ -260,9 +254,8 @@ def apply_updates(
 ) -> UpdateDiff:
     """Apply a batch of updates; returns the batch's :class:`UpdateDiff`.
 
-    Update tuples: ``("attr", node, attr, value)``, ``("edge+", src, dst,
-    label)``, ``("edge-", src, dst, label)``, ``("node", node, label,
-    attrs)``.
+    ``updates`` are update-op tuples (README, "Update ops"); the whole
+    batch is shape-checked before the first op is applied.
 
     The per-op diffs are folded with :meth:`UpdateDiff.then`, so the
     result is exact against the *pre-batch* state: the set content is
@@ -272,17 +265,6 @@ def apply_updates(
     behaviour) still yields exactly the newly-introduced violations.
     """
     diff = UpdateDiff()
-    for update in updates:
-        kind = update[0]
-        if kind == "attr":
-            step = validator.set_attr(*update[1:])
-        elif kind == "edge+":
-            step = validator.add_edge(*update[1:])
-        elif kind == "edge-":
-            step = validator.remove_edge(*update[1:])
-        elif kind == "node":
-            step = validator.add_node(*update[1:])
-        else:
-            raise ValueError(f"unknown update kind {kind!r}")
-        diff = diff.then(step)
+    for op in check_ops(updates):
+        diff = diff.then(validator.apply(op))
     return diff

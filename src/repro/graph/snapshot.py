@@ -525,8 +525,10 @@ class GraphSnapshot:
             self.materialise()
         for op in ops:
             kind = op[0]
+            # repro-lint: disable=RPL042 -- PropertyGraph's delta log, not an update op: it reuses the edge kind names
             if kind == "edge+":
                 self._delta_edge(op[1], op[2], op[3], insert=True)
+            # repro-lint: disable=RPL042 -- PropertyGraph's delta log, not an update op: it reuses the edge kind names
             elif kind == "edge-":
                 self._delta_edge(op[1], op[2], op[3], insert=False)
             elif kind == "node+":
@@ -535,6 +537,7 @@ class GraphSnapshot:
                 self._delta_remove_node(op[1])
             elif kind == "relabel":
                 self._delta_relabel(op[1], op[2])
+            # repro-lint: disable=RPL042 -- PropertyGraph's delta log, not an update op: attr entries are tolerated and ignored
             elif kind != "attr":
                 raise ValueError(f"unknown snapshot delta op {kind!r}")
 

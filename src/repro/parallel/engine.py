@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultPolicy
 
 from ..graph.graph import NodeId, PropertyGraph
+from ..graph.updates import apply_op, is_structural, op_nodes
 from ..matching.locality import candidate_permutations
 from ..matching.vf2 import _NO_MATCH, MatchStats, SubgraphMatcher
 from ..core.discovery import EvidenceAggregate, match_items_key
@@ -224,50 +225,32 @@ class BlockMaterialiser:
         """Patch cached blocks in place for a batch of graph update ops.
 
         A cached block is the induced subgraph over a *fixed* node set,
-        so an op affects it iff it happens inside that set: an attribute
-        write iff the node is a member, an edge change iff **both**
-        endpoints are members, a node (re-)insertion iff the node is a
-        member (a genuinely new node cannot be — no existing key
-        contains it).  Affected blocks are patched in place — their
-        delta-maintained snapshots follow via ``apply_delta`` — and only
-        *their* matchers are dropped, and only on structural ops
-        (matcher candidate sets depend on labels and structure, never on
-        attribute values).  Every unaffected block, snapshot and matcher
-        stays warm: this is what keeps a warm cache O(|Δ|) under update
-        streams instead of the old wholesale :meth:`clear`.
-
-        Ops use the ``session.update()`` tuple format.  Returns the
-        number of (op, block) patches applied; the same count lands in
-        the cumulative ``patched`` counter and the per-run stats slice.
+        so an op affects it iff the set holds every one of its
+        :func:`~repro.graph.updates.op_nodes` (a genuinely new node is
+        in no key).  Affected blocks are patched in place — snapshots
+        follow via ``apply_delta`` — and only *their* matchers are
+        dropped, only on structural ops.  Every other block, snapshot and
+        matcher stays warm, which keeps a warm cache O(|Δ|) under update
+        streams.  Returns the number of (op, block) patches applied; the
+        count also lands in ``patched`` and the per-run stats slice.
         """
         patched = 0
         with self._lock:
-            for key, (block, matchers) in self._cache.items():
-                for op in ops:
-                    kind = op[0]
-                    if kind == "attr":
-                        if op[1] not in key:
-                            continue
-                        block.set_attr(op[1], op[2], op[3])
-                    elif kind in ("edge+", "edge-"):
-                        if op[1] not in key or op[2] not in key:
-                            continue
-                        before = block.size
-                        if kind == "edge+":
-                            block.add_edge(op[1], op[2], op[3])
-                        else:
-                            block.remove_edge(op[1], op[2], op[3])
-                        self._retained += block.size - before
+            for op in ops:
+                # one node, or an edge's two endpoints: first and last
+                # cover both without a per-block loop
+                nodes = op_nodes(op)
+                first, last = nodes[0], nodes[-1]
+                structural = is_structural(op)
+                for key in self._cache:
+                    if first not in key or last not in key:
+                        continue
+                    block, matchers = self._cache[key]
+                    before = block.size
+                    apply_op(block, op)
+                    self._retained += block.size - before
+                    if structural:
                         matchers.clear()
-                    elif kind == "node":
-                        if op[1] not in key:
-                            continue
-                        block.add_node(
-                            op[1], op[2], dict(op[3]) if op[3] else None
-                        )
-                        matchers.clear()
-                    else:
-                        raise ValueError(f"unknown update kind {kind!r}")
                     patched += 1
             self.patched += patched
             self._run_stats.patched += patched

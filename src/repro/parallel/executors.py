@@ -125,6 +125,7 @@ from typing import (
 
 from ..graph.graph import PropertyGraph
 from ..graph.snapshot import GraphSnapshot
+from ..graph.updates import apply_op, is_structural, op_nodes
 from ..core.gfd import GFD
 from .faults import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -620,30 +621,19 @@ class MatchStore:
         Entries are keyed ``(pattern, pivot assignment, block nodes)``
         and hold purely *structural* match tuples — consumers re-read
         attribute values from the (patched) block at evaluation time —
-        so attribute ops never invalidate anything.  A structural op
-        (``edge+``/``edge-``/``node``) can only change the match set of
-        a block that contains it: entries whose block-node set holds
-        every endpoint are dropped, everything else stays resident.
-        Ops use the ``session.update()`` tuple format; returns the
-        number of entries invalidated (also summed into the cumulative
-        ``invalidated`` counter).
+        so attribute ops never invalidate anything.  A structural op can
+        only change the match set of a block holding all its nodes: those
+        entries are dropped, everything else stays resident.  Returns the
+        number of entries invalidated (also summed into ``invalidated``).
         """
-        structural = [op for op in ops if op[0] != "attr"]
-        if not structural:
+        touched = [op_nodes(op) for op in ops if is_structural(op)]
+        if not touched:
             return 0
         with self._lock:
             doomed = []
             for key in self._entries:
-                block_nodes = key[2]
-                for op in structural:
-                    kind = op[0]
-                    if kind == "node":
-                        hit = op[1] in block_nodes
-                    elif kind in ("edge+", "edge-"):
-                        hit = op[1] in block_nodes and op[2] in block_nodes
-                    else:
-                        raise ValueError(f"unknown update kind {kind!r}")
-                    if hit:
+                for nodes in touched:
+                    if key[2].issuperset(nodes):
                         doomed.append(key)
                         break
             for key in doomed:
@@ -875,49 +865,32 @@ class ShardCache:
         """
         with self._lock:
             state = self._slots.get(slot)
-            if state is not None and state.epoch == epoch:
-                ops = self._forward_ops(state.resident, state.seq)
-                if ops is not None:
-                    ship_sigma = state.sigma_key != sigma_key
-                    state.sigma_key = sigma_key
-                    missing = needed - state.resident
-                    state.seq = len(self._log)
-                    if not ops and not missing:
-                        return "reuse", None, ship_sigma
-                    add_nodes, add_edges = self._add_payload(
-                        graph, state.resident, missing
-                    )
-                    state.resident |= missing
-                    return "delta", (ops, add_nodes, add_edges), ship_sigma
+            if (
+                state is not None and state.epoch == epoch
+                and len(self._log) - state.seq <= self.MAX_FORWARD_OPS
+            ):
+                # forward the logged ops that land inside the resident share
+                ops = [
+                    op for op in self._log[state.seq:]
+                    if state.resident.issuperset(op_nodes(op))
+                ]
+                ship_sigma = state.sigma_key != sigma_key
+                state.sigma_key = sigma_key
+                missing = needed - state.resident
+                state.seq = len(self._log)
+                if not ops and not missing:
+                    return "reuse", None, ship_sigma
+                add_nodes, add_edges = self._add_payload(
+                    graph, state.resident, missing
+                )
+                state.resident |= missing
+                return "delta", (ops, add_nodes, add_edges), ship_sigma
             shard = graph.induced_subgraph(needed)
             self._slots[slot] = _SlotState(
                 epoch=epoch, resident=set(needed), seq=len(self._log),
                 sigma_key=sigma_key,
             )
             return "full", shard, False
-
-    def _forward_ops(  #: holds: _lock
-        self, resident: Set, seq: int
-    ) -> Optional[List[Tuple]]:
-        """Log ops since ``seq`` restricted to the resident share.
-
-        ``None`` means the backlog is too large — reshipping is cheaper.
-        """
-        pending = self._log[seq:]
-        if len(pending) > self.MAX_FORWARD_OPS:
-            return None
-        out: List[Tuple] = []
-        for op in pending:
-            kind = op[0]
-            if kind in ("attr", "node"):
-                if op[1] in resident:
-                    out.append(op)
-            elif kind in ("edge+", "edge-"):
-                if op[1] in resident and op[2] in resident:
-                    out.append(op)
-            else:  # pragma: no cover - session.update validates op kinds
-                return None
-        return out
 
     @staticmethod
     def _add_payload(
@@ -976,20 +949,6 @@ class _ResidentShard:
         self.shard.drop_snapshot_cache()
         self.segment.close()
         self.segment = None
-
-
-def _apply_shard_op(shard: PropertyGraph, op: Tuple) -> None:
-    kind = op[0]
-    if kind == "attr":
-        shard.set_attr(op[1], op[2], op[3])
-    elif kind == "edge+":
-        shard.add_edge(op[1], op[2], op[3])
-    elif kind == "edge-":
-        shard.remove_edge(op[1], op[2], op[3])
-    elif kind == "node":
-        shard.add_node(op[1], op[2], dict(op[3]) if op[3] else None)
-    else:
-        raise ValueError(f"unknown shard op {kind!r}")
 
 
 def _restore_unit_payloads(
@@ -1062,19 +1021,14 @@ def _run_slot(
         entry.release_segment()
         shard = entry.shard
         for op in ops:
-            _apply_shard_op(shard, op)
+            apply_op(shard, op)
         for node, label, attrs in add_nodes:
             shard.add_node(node, label, attrs)
         for src, dst, label in add_edges:
             shard.add_edge(src, dst, label)
-        # Targeted invalidation instead of a rebuild: blocks whose node
-        # set the forwarded ops touch are patched in place (snapshots
-        # follow via apply_delta) and resident matches are dropped only
-        # where a structural op lands inside their block; every other
-        # cached block, matcher and match stays warm.  The block-share
-        # extension (add_nodes/add_edges) can never affect an existing
-        # cached block: its nodes were absent from the resident share,
-        # hence from every cached block's node set.
+        # Targeted invalidation, not a rebuild (see both apply_ops).  The
+        # block-share extension cannot touch a cached block: its nodes
+        # were absent from the resident share, hence from every block.
         entry.materialiser.apply_ops(ops)
         entry.match_store.apply_ops(ops)
         if sigma_blob is not None:

@@ -8,9 +8,9 @@ re-diff full violation sets.  :class:`ValidationService` is the streaming
 front end the ROADMAP's north star implies:
 
 * **concurrent ingestion** — any number of threads call
-  :meth:`ValidationService.submit` with update ops (the
-  ``session.update()`` tuple format); a bounded queue applies producer
-  backpressure when the appliers falls behind;
+  :meth:`ValidationService.submit` with update ops (README, "Update
+  ops"); a bounded queue applies producer backpressure when the applier
+  falls behind;
 * **bounded delta batching** — one applier thread owns the session and
   cuts batches at a size watermark (``max_batch_ops``) or an age
   watermark (``max_batch_age`` seconds measured on the oldest queued
@@ -18,9 +18,8 @@ front end the ROADMAP's north star implies:
   load, throughput stays batched under burst load;
 * **per-batch op coalescing** — a batch is folded to a final-state
   equivalent op list before it touches the session
-  (:func:`coalesce_ops`): redundant attribute writes collapse to the
-  last one, an ``edge+`` followed by ``edge-`` of the same edge (or the
-  reverse, when the final state matches the graph) cancels outright;
+  (:func:`coalesce_ops`): an attribute keeps its last write, an edge
+  round trip cancels;
 * **violation diffs** — each applied batch advances the service *epoch*
   and emits a :class:`ViolationDiff` ``(epoch, added, removed)`` to
   every subscriber.  Diffs are exact and compose
@@ -66,11 +65,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from .core.incremental import UpdateDiff
 from .core.validation import Violation
 from .graph.graph import PropertyGraph
+from .graph.updates import check_ops, fold_key, holds, is_structural, op_nodes
 from .parallel.faults import FaultPolicy, FaultStats, resolve_fault_policy
 from .session import ValidationSession
-
-#: update-op kinds the service accepts (the ``session.update()`` format)
-OP_KINDS = ("attr", "edge+", "edge-", "node")
 
 #: default batch-size watermark: apply once this many ops are queued
 DEFAULT_MAX_BATCH_OPS = 256
@@ -170,64 +167,30 @@ def coalesce_ops(
     """Fold a batch of update ops to a final-state-equivalent op list.
 
     ``Vio(Σ, G)`` depends only on the final graph state, and diffs are
-    emitted per *batch* — so any folding that preserves the batch's net
-    effect on the graph is semantically free.  Three rules, each safe by
-    construction:
-
-    * **attr last-wins**: repeated writes to one ``(node, attr)`` keep
-      only the final value;
-    * **edge final-state**: repeated ``edge+``/``edge-`` ops on one
-      ``(src, dst, label)`` key reduce to the *last* op's desired state,
-      compared against the graph's current state (the applier thread
-      owns the graph, so the read is race-free): if they already agree —
-      an add-then-remove round trip, or a remove-then-re-add of an
-      existing edge — the ops cancel entirely, otherwise exactly one op
-      survives;
-    * **node ops pass through**: ``("node", ...)`` insertions are kept
-      verbatim *and* disable both foldings for ops naming their node —
-      an edge op can be valid only after its endpoint's insertion, and
-      a node re-add may reset state an attr fold would misorder, so ops
-      entangled with a node op keep their original relative order.
-
-    Folded attr/edge ops commute with everything else left in the batch
-    (they share no node with any node op, and ops on distinct keys are
-    independent), so they are emitted after the pass-through ops.
-    Returns ``(ops, cancelled)`` where ``cancelled`` is the number of
-    ops folded away.
+    emitted per *batch*, so folding that keeps the batch's net effect is
+    free.  Ops with equal :func:`~repro.graph.updates.fold_key` keep only
+    the last (attr last-wins; an ``edge+``/``edge-`` run keeps its last
+    op), and a folded edge op the graph already :func:`~repro.graph.
+    updates.holds` cancels outright (the applier owns the graph, so the
+    read is race-free).  Node ops pass through and pin their node: ops
+    naming it keep their original relative order, since an edge op is
+    valid only after its endpoint's insertion.  Folded ops share no node
+    with a node op, so they commute with the pass-through ops and are
+    emitted after them.  Returns ``(ops, cancelled)``.
     """
-    ops = [tuple(op) for op in ops]
-    node_opped = {op[1] for op in ops if op[0] == "node"}
+    ops = check_ops(ops)
+    pinned = {n for op in ops if fold_key(op) is None for n in op_nodes(op)}
     out: List[tuple] = []
-    attr_final: dict = {}
-    edge_final: dict = {}
+    final: dict = {}
     for op in ops:
-        kind = op[0]
-        if kind == "node":
+        key = fold_key(op)
+        if key is None or not pinned.isdisjoint(op_nodes(op)):
             out.append(op)
-        elif kind == "attr":
-            if op[1] in node_opped:
-                out.append(op)
-            else:
-                attr_final[(op[1], op[2])] = op[3]
-        elif kind in ("edge+", "edge-"):
-            if op[1] in node_opped or op[2] in node_opped:
-                out.append(op)
-            else:
-                edge_final[(op[1], op[2], op[3])] = kind
         else:
-            raise ValueError(
-                f"unknown update kind {kind!r}; expected one of {OP_KINDS}"
-            )
-    for (node, attr), value in attr_final.items():
-        out.append(("attr", node, attr, value))
-    for (src, dst, label), kind in edge_final.items():
-        present = graph.has_edge(src, dst, label)
-        if kind == "edge+" and not present:
-            out.append(("edge+", src, dst, label))
-        elif kind == "edge-" and present:
-            out.append(("edge-", src, dst, label))
-        # else: the graph already holds the desired final state — the
-        # batch's ops on this edge cancelled each other out.
+            final[key] = op
+    out += [op for op in final.values() if not is_structural(op)]
+    out += [op for op in final.values()
+            if is_structural(op) and not holds(graph, op)]
     return out, len(ops) - len(out)
 
 
@@ -331,12 +294,11 @@ class ValidationService:
 
     The applier is supervised, not fail-stop: an exception while
     applying a batch is retried up to ``fault_policy.max_retries``
-    times (exponential backoff), replaying only the ops the failed
-    attempt did not get through (:meth:`_surviving_ops` — replay is
-    idempotent against a half-applied graph) and recomputing the
-    emitted :class:`ViolationDiff` from the violation *sets*, so a
-    recovered stream carries exactly the diffs and epoch numbers a
-    fault-free run would have.  Only an exhausted retry budget closes
+    times (exponential backoff), replaying only the ops that do not
+    already hold (idempotent against a half-applied graph) and
+    recomputing the emitted :class:`ViolationDiff` from the violation
+    *sets*, so a recovered stream carries exactly the diffs and epoch
+    numbers a fault-free run would have.  Only an exhausted retry budget closes
     the stream, with the original cause chained
     (``ServiceStats.failure``).
     """
@@ -394,16 +356,12 @@ class ValidationService:
 
         Thread-safe; callable from any number of producers.  Blocks when
         the ingestion queue is full (producer backpressure) until the
-        applier drains it.  Op kinds are validated here so a malformed
-        op raises in the *producer's* thread, not the applier's.
+        applier drains it.  The ops are shape-checked here
+        (:func:`~repro.graph.updates.check_ops`), so a malformed op
+        raises in the *producer's* thread and nothing of the call is
+        queued.
         """
-        ops = [tuple(op) for op in ops]
-        for op in ops:
-            if not op or op[0] not in OP_KINDS:
-                raise ValueError(
-                    f"unknown update kind {op[0] if op else op!r}; "
-                    f"expected one of {OP_KINDS}"
-                )
+        ops = check_ops(ops)
         with self._cond:
             for op in ops:
                 self._raise_if_failed()
@@ -565,36 +523,6 @@ class ValidationService:
             self._cond.notify_all()  # wake producers blocked on the bound
             return batch
 
-    def _surviving_ops(self, ops: Sequence[tuple]) -> List[tuple]:
-        """The ops a failed apply attempt did not get through.
-
-        Replay after a mid-batch failure must be idempotent: the failed
-        attempt may have applied any prefix of the batch before raising,
-        and ``Vio(Σ, G)`` depends only on the final graph state — so an
-        op whose effect is already the graph's current state is dropped
-        rather than re-applied (a re-add of a present edge or a re-remove
-        of an absent one would raise; a re-write of an attr is a no-op
-        the session would still pay for).  Node insertions of
-        already-present nodes are likewise dropped.  Runs in the applier
-        thread, which owns the graph — the reads are race-free.
-        """
-        graph = self.session.graph
-        out: List[tuple] = []
-        for op in ops:
-            kind = op[0]
-            if kind == "attr":
-                if op[1] not in graph or graph.attrs(op[1]).get(op[2]) != op[3]:
-                    out.append(op)
-            elif kind == "edge+":
-                if not graph.has_edge(op[1], op[2], op[3]):
-                    out.append(op)
-            elif kind == "edge-":
-                if graph.has_edge(op[1], op[2], op[3]):
-                    out.append(op)
-            elif op[1] not in graph:  # node insertion
-                out.append(op)
-        return out
-
     def _apply_with_retry(
         self,
         ops: List[tuple],
@@ -635,7 +563,12 @@ class ValidationService:
                         frozenset(diff), frozenset(diff.removed),
                         failures, retried_ops,
                     )
-                survivors = self._surviving_ops(ops)
+                # The failed attempts applied a prefix of the batch, and
+                # session.update carried it into every cache: replay only
+                # the ops that do not hold yet (re-removing an absent
+                # edge would raise).  The applier owns the graph.
+                graph = self.session.graph
+                survivors = [op for op in ops if not holds(graph, op)]
                 retried_ops += len(survivors)
                 if survivors:
                     self.session.update(survivors)

@@ -76,10 +76,11 @@ from .core.discovery import (
     select_rules,
 )
 from .core.gfd import GFD
-from .core.incremental import IncrementalValidator, UpdateDiff, apply_updates
+from .core.incremental import IncrementalValidator, UpdateDiff
 from .core.validation import Violation, det_vio
 from .graph.graph import PropertyGraph
 from .graph.partition import Fragmentation
+from .graph.updates import check_ops
 from .matching.factorised import EVAL_MODES
 from .parallel.assignment import (
     balance_only_assign,
@@ -387,29 +388,28 @@ class ValidationSession:
     def update(self, ops: Iterable[tuple]) -> UpdateDiff:
         """Apply graph updates through the incremental path.
 
-        ``ops`` uses the :func:`~repro.core.incremental.apply_updates`
-        format: ``("attr", node, attr, value)``, ``("edge+", src, dst,
-        label)``, ``("edge-", src, dst, label)``, ``("node", node, label,
-        attrs)``.  Violations are maintained incrementally (on the
-        delta-applied snapshot backend — no full re-validation, no full
-        re-index), and the ops are queued for the worker shard caches so
-        the next process-backed run ships only deltas.
-
-        Returns the batch's :class:`~repro.core.incremental.UpdateDiff`:
-        iterating it yields the newly-introduced violations (the
-        historical return), ``.removed`` holds the violations the batch
-        resolved — callers no longer need to diff full sets themselves.
+        ``ops`` are update-op tuples (README, "Update ops").  Violations
+        are maintained incrementally (on the delta-applied snapshot
+        backend — no full re-validation, no full re-index), and the ops
+        are queued for the worker shard caches so the next
+        process-backed run ships only deltas.  Returns the batch's
+        :class:`~repro.core.incremental.UpdateDiff`: iterating it yields
+        the newly-introduced violations, ``.removed`` holds the ones the
+        batch resolved.
 
         Warm caches survive the batch via *targeted* invalidation: the
         shared block materialiser patches exactly the cached blocks the
         ops land in (``BlockMaterialiser.apply_ops``) and the resident
         match store drops exactly the entries a structural op touches
-        (``MatchStore.apply_ops``) — everything else stays warm, so a
-        session absorbing an update stream does O(|Δ|) maintenance work
-        per batch instead of rebuilding its caches.  An empty ``ops``
+        (``MatchStore.apply_ops``), so a session absorbing an update
+        stream does O(|Δ|) maintenance work per batch.  An empty ``ops``
         list is a true no-op: no cache activity, no version marks.
+
+        A malformed batch raises before anything changes; an op the graph
+        rejects raises after the ops before it have landed everywhere —
+        graph, violation set and warm caches alike.
         """
-        ops = list(ops)
+        ops = check_ops(ops)
         if not ops:
             return UpdateDiff()
         stale = (
@@ -427,18 +427,25 @@ class ValidationSession:
             # An out-of-band structural mutation since the last reconcile:
             # the maintained set cannot be trusted as a seed.
             self._incremental.rebuild()
-        diff = apply_updates(self._incremental, ops)
-        for op in ops:
-            self._shard_cache.record(op)
-        self._shard_cache.mark_version(self.graph._version)
-        if self._materialiser is not None:
-            self._materialiser.apply_ops(ops)
-            self._materialiser_version = self.graph._version
-        if self._match_store is not None:
-            self._match_store.apply_ops(ops)
-            self._match_store_version = self.graph._version
-        self._violations = set(self._incremental.violations)
-        self._violations_version = self.graph._version
+        diff = UpdateDiff()
+        applied = 0
+        try:
+            for op in ops:
+                diff = diff.then(self._incremental.apply(op))
+                applied += 1
+        finally:  # what landed reaches every cache, even if a later op raised
+            ops = ops[:applied]
+            for op in ops:
+                self._shard_cache.record(op)
+            self._shard_cache.mark_version(self.graph._version)
+            if self._materialiser is not None:
+                self._materialiser.apply_ops(ops)
+                self._materialiser_version = self.graph._version
+            if self._match_store is not None:
+                self._match_store.apply_ops(ops)
+                self._match_store_version = self.graph._version
+            self._violations = set(self._incremental.violations)
+            self._violations_version = self.graph._version
         return diff
 
     def _reconcile(self, violations: Set[Violation]) -> None:

@@ -411,6 +411,60 @@ class TestDispatchExhaustiveness:
 
 
 # ---------------------------------------------------------------------------
+# RPL042 — update-op kinds are interpreted in one module only
+# ---------------------------------------------------------------------------
+
+class TestUpdateOpVocabulary:
+    def test_kind_comparison_outside_vocabulary_fires(self, tmp_path):
+        found = findings_for(tmp_path, {
+            "service.py": """
+                def surviving(ops, graph):
+                    return [op for op in ops if op[0] == "attr"]
+            """,
+        }, "RPL042")
+        assert [f for f in found if "'attr'" in f.message]
+
+    def test_membership_in_a_kind_tuple_fires(self, tmp_path):
+        found = findings_for(tmp_path, {
+            "engine.py": """
+                def touches(op, key):
+                    if op[0] in ("edge+", "edge-"):
+                        return op[1] in key and op[2] in key
+                    return "node" != op[0] and op[1] in key
+            """,
+        }, "RPL042")
+        assert len(found) == 2
+
+    def test_vocabulary_module_and_other_protocols_pass(self, tmp_path):
+        report = findings_for(tmp_path, {
+            "repro/graph/updates.py": """
+                def is_structural(op):
+                    return op[0] != "attr"
+            """,
+            "snapshot.py": """
+                def replay(ops):
+                    for op in ops:
+                        if op[0] in ("node+", "node-", "relabel"):
+                            yield op
+            """,
+        })
+        assert not [f for f in report.findings if f.code == "RPL042"]
+
+    def test_justified_suppression(self, tmp_path):
+        report = findings_for(tmp_path, {
+            "snapshot.py": """
+                def apply_delta(ops):
+                    for op in ops:
+                        # repro-lint: disable=RPL042 -- a delta log that reuses the name
+                        if op[0] == "edge+":
+                            yield op
+            """,
+        })
+        assert not [f for f in report.findings if f.code == "RPL042"]
+        assert [f for f in report.suppressed if f.code == "RPL042"]
+
+
+# ---------------------------------------------------------------------------
 # baseline round-trip + CLI contract
 # ---------------------------------------------------------------------------
 
