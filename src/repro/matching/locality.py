@@ -151,7 +151,7 @@ def candidate_permutations(
     when the two components are isomorphic; this generator produces exactly
     those assignments (each one a valid label-compatible bijection).
     """
-    from itertools import permutations
+    from itertools import permutations, product
 
     entries = list(pivot)
     prev = symmetry_predecessors(pattern, pivot)
@@ -168,24 +168,17 @@ def candidate_permutations(
 
     base = [assignment[entry.variable] for entry in entries]
 
-    def assignments_for(class_perms: List[List[NodeId]]) -> Dict[Variable, NodeId]:
+    # Distinct permutations per class, first-seen order; their cartesian
+    # product (first class slowest) is every reassignment, once each.  No
+    # recursive nested generator: one holds itself through its own cell,
+    # a cycle per call that only a full collection frees.
+    class_perms = [
+        list(dict.fromkeys(permutations([base[i] for i in members])))
+        for members in classes
+    ]
+    for combo in product(*class_perms):
         values = list(base)
-        for cls, perm in zip(classes, class_perms):
-            for slot, value in zip(cls, perm):
+        for members, perm in zip(classes, combo):
+            for slot, value in zip(members, perm):
                 values[slot] = value
-        return {entry.variable: value for entry, value in zip(entries, values)}
-
-    def product(level: int, acc: List[List[NodeId]]) -> Iterator[Dict[Variable, NodeId]]:
-        if level == len(classes):
-            yield assignments_for(acc)
-            return
-        members = classes[level]
-        values = [base[i] for i in members]
-        seen = set()
-        for perm in permutations(values):
-            if perm in seen:
-                continue
-            seen.add(perm)
-            yield from product(level + 1, acc + [list(perm)])
-
-    yield from product(0, [])
+        yield {entry.variable: value for entry, value in zip(entries, values)}

@@ -114,12 +114,15 @@ class SubgraphMatcher:
                 pattern, self.snapshot
             )
             self._compile_pattern(self.snapshot)
-            self._frontier = self._frontier_indexed
-            self._consistent = self._consistent_indexed
+            # Plain functions, called as ``self._frontier(self, ...)``: a
+            # bound method stored on ``self`` is a reference cycle that
+            # only a full collection frees (see README "Worker heap").
+            self._frontier = SubgraphMatcher._frontier_indexed
+            self._consistent = SubgraphMatcher._consistent_indexed
         else:
             self._cand = compute_candidates(pattern, graph)
-            self._frontier = self._frontier_legacy
-            self._consistent = self._consistent_legacy
+            self._frontier = SubgraphMatcher._frontier_legacy
+            self._consistent = SubgraphMatcher._consistent_legacy
         self._cand_nodes: Optional[Dict[Variable, Set[NodeId]]] = None
         self.order = self._plan_order()
         # Lazily-compiled factorised plan: None = not tried yet, False =
@@ -216,7 +219,7 @@ class SubgraphMatcher:
         used = set(pinned.values())
         # Validate edges among fixed variables up front.
         for var in pinned:
-            if not self._consistent(var, mapping[var], mapping, skip=var):
+            if not self._consistent(self, var, mapping[var], mapping, skip=var):
                 return iter(())
         order = [v for v in self.order if v not in pinned]
         found = self._search(order, 0, mapping, used, stats)
@@ -403,11 +406,11 @@ class SubgraphMatcher:
             yield self._emit(mapping)
             return
         var = order[index]
-        for node in self._frontier(var, mapping):
+        for node in self._frontier(self, var, mapping):
             if node in used:
                 continue
             stats.steps += 1
-            if not self._consistent(var, node, mapping):
+            if not self._consistent(self, var, node, mapping):
                 continue
             mapping[var] = node
             used.add(node)

@@ -106,6 +106,7 @@ on ``ShippingStats.faults`` proves the faults actually fired.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing
 import os
@@ -705,6 +706,11 @@ class ShippingStats:
     #: recovered run's shipping counters include recovery re-shipments —
     #: the fault differential suite pins *results*, not volume
     faults: Optional[FaultStats] = None
+    #: full (gen-2) collections in the workers during the run's batches,
+    #: and the longest one's pause in seconds — telemetry that never
+    #: feeds a result (see README "Worker heap")
+    gc_full_collections: int = 0
+    gc_pause_max: float = 0.0
     worker_pids: Dict[int, int] = field(default_factory=dict)
 
     def merge(self, other: "ShippingStats") -> "ShippingStats":
@@ -736,6 +742,8 @@ class ShippingStats:
             if self.faults is None:
                 self.faults = FaultStats()
             self.faults.merge(other.faults)
+        self.gc_full_collections += other.gc_full_collections
+        self.gc_pause_max = max(self.gc_pause_max, other.gc_pause_max)
         self.worker_pids.update(other.worker_pids)
         return self
 
@@ -1104,6 +1112,56 @@ def _heartbeat_loop(
             return  # repro-lint: disable=RPL050 -- coordinator went away; the batch reply send will notice and end the worker loop
 
 
+class _GcWatch:
+    """A worker's ``gc.callbacks`` hook: full (gen-2) collections and the
+    longest one's pause since the last :meth:`take`.
+
+    Telemetry only: the pair rides the batch reply into
+    :class:`ShippingStats` and never feeds a result or a cost report.
+    """
+
+    __slots__ = ("full", "pause_max", "_started")
+
+    def __init__(self) -> None:
+        self.full = 0
+        self.pause_max = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        self.full += 1
+        self.pause_max = max(
+            self.pause_max, time.perf_counter() - self._started
+        )
+
+    def take(self) -> Tuple[int, float]:
+        """Return and reset ``(full collections, longest pause in s)``."""
+        taken = (self.full, self.pause_max)
+        self.full, self.pause_max = 0, 0.0
+        return taken
+
+
+def _freeze_batch_heap() -> None:
+    """Collect a finished batch's young garbage, then freeze the rest.
+
+    Frozen objects sit in the permanent generation, which no collection
+    walks, so a full collection during the next batch costs that
+    batch's own objects, not the resident shard, blocks and matchers
+    kept from earlier ones.  Freezing is safe only because resident
+    state is acyclic (README "Worker heap"): a replaced shard, an
+    evicted block or dropped matchers are freed by reference counting
+    while frozen, whereas frozen cyclic garbage would never be freed.
+    Only the young generations are collected: that is bounded work,
+    done after the reply is sent.
+    """
+    gc.collect(1)
+    gc.freeze()
+
+
 def _persistent_worker_main(
     conn, worker_index: int = 0, incarnation: int = 0
 ) -> None:
@@ -1119,10 +1177,16 @@ def _persistent_worker_main(
     :class:`~repro.parallel.faults.FaultPlan`; the beat thread is
     stopped and joined *before* the reply is sent, so a reply is always
     the last message of its batch.
+
+    The heap inherited at start-up is frozen, and so is whatever a
+    batch leaves behind once its reply is sent (:func:`_freeze_batch_heap`).
     """
     cache: Dict[Tuple[str, int], _ResidentShard] = {}
     pid = os.getpid()
     send_lock = threading.Lock()
+    gc.freeze()
+    gc_watch = _GcWatch()
+    gc.callbacks.append(gc_watch)
     try:
         conn.send(("ready", pid))
     except (BrokenPipeError, OSError):  # pragma: no cover
@@ -1142,6 +1206,7 @@ def _persistent_worker_main(
         plan = message[3] if len(message) > 3 else None
         faults = WorkerFaultContext(plan, worker_index, incarnation)
         progress = [0]
+        gc_watch.take()  # count this batch's collections only
         stop_beat = threading.Event()
         beat = threading.Thread(
             target=_heartbeat_loop,
@@ -1171,7 +1236,10 @@ def _persistent_worker_main(
             for entry in cache.values():
                 store_stats.merge(entry.match_store.take_stats())
                 cache_stats.merge(entry.materialiser.take_stats())
-            reply = ("ok", pid, replies, store_stats, cache_stats)
+            reply = (
+                "ok", pid, replies, store_stats, cache_stats,
+                gc_watch.take(),
+            )
         except BaseException:
             reply = ("err", pid, traceback.format_exc())
         finally:
@@ -1187,6 +1255,7 @@ def _persistent_worker_main(
                 conn.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover
             break  # repro-lint: disable=RPL050 -- coordinator went away mid-run; loop exit releases every segment
+        _freeze_batch_heap()
     for entry in cache.values():
         entry.release_segment()
     conn.close()
@@ -2050,9 +2119,11 @@ class MultiprocessExecutor:
         )
         replies = run.execute()
         results: Dict[int, List["UnitResult"]] = {}
-        for _, pid, pairs, store_stats, cache_stats in replies:
+        for _, pid, pairs, store_stats, cache_stats, gc_stats in replies:
             stats.match_store.merge(store_stats)
             stats.block_cache.merge(cache_stats)
+            stats.gc_full_collections += gc_stats[0]
+            stats.gc_pause_max = max(stats.gc_pause_max, gc_stats[1])
             for slot, slot_results, payloads_blob in pairs:
                 results[slot] = slot_results
                 stats.worker_pids[slot] = pid

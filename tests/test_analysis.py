@@ -465,6 +465,81 @@ class TestUpdateOpVocabulary:
 
 
 # ---------------------------------------------------------------------------
+# RPL070 — no bound method stored on its own instance
+# ---------------------------------------------------------------------------
+
+class TestBoundMethodSelfCycle:
+    def test_matcher_dispatch_shape_fires(self, tmp_path):
+        # the historical shape: per-backend dispatch bound on self
+        found = findings_for(tmp_path, {
+            "vf2.py": """
+                class Matcher:
+                    def __init__(self, indexed):
+                        if indexed:
+                            self._frontier = self._frontier_indexed
+                        else:
+                            self._frontier = self._frontier_legacy
+                    def _frontier_indexed(self, var):
+                        return []
+                    def _frontier_legacy(self, var):
+                        return []
+            """,
+        }, "RPL070")
+        assert len(found) == 2
+        assert "Matcher._frontier_indexed" in found[0].message
+
+    def test_dispatch_table_of_bound_methods_fires(self, tmp_path):
+        found = findings_for(tmp_path, {
+            "service.py": """
+                class Applier:
+                    def __init__(self):
+                        self._handlers = {"attr": self._on_attr}
+                    def _on_attr(self, op):
+                        pass
+            """,
+        }, "RPL070")
+        assert len(found) == 1
+
+    def test_functions_attributes_and_calls_pass(self, tmp_path):
+        report = findings_for(tmp_path, {
+            "vf2.py": """
+                class Matcher:
+                    def __init__(self, graph):
+                        self._frontier = Matcher._frontier_indexed
+                        self.order = self._plan()
+                        self.alias = self.graph_copy
+                        self.total = self.size
+                        self.make = self.build
+                    def _frontier_indexed(self, var):
+                        return []
+                    def _plan(self):
+                        return []
+                    @property
+                    def size(self):
+                        return 0
+                    @staticmethod
+                    def build():
+                        return None
+            """,
+        })
+        assert not [f for f in report.findings if f.code == "RPL070"]
+
+    def test_justified_suppression(self, tmp_path):
+        report = findings_for(tmp_path, {
+            "service.py": """
+                class Service:
+                    def __init__(self):
+                        # repro-lint: disable=RPL070 -- lives as long as the process
+                        self._callback = self._on_event
+                    def _on_event(self):
+                        pass
+            """,
+        })
+        assert not [f for f in report.findings if f.code == "RPL070"]
+        assert [f for f in report.suppressed if f.code == "RPL070"]
+
+
+# ---------------------------------------------------------------------------
 # baseline round-trip + CLI contract
 # ---------------------------------------------------------------------------
 
