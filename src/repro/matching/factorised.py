@@ -41,7 +41,8 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from ..graph.snapshot import GraphSnapshot
@@ -357,6 +358,25 @@ class FactorisedPlan:
             stats.steps += ops[0]
         return total
 
+    def eliminate(
+        self, restrict: Optional[Dict[Variable, int]] = None
+    ) -> "Elimination":
+        """The component-rooted passes of every quotient under ``restrict``.
+
+        One elimination per pin serves every aggregate query over it —
+        the marginals, every pair table and every group member's
+        tallies (see :class:`Elimination`).
+        """
+        ops = [0]
+        rows = []
+        for quotient in self.quotients:
+            cand = self._restricted(quotient, restrict)
+            if cand is None:
+                continue
+            totals, by_class = self._component_roots(quotient, cand, ops)
+            rows.append((quotient, cand, totals, by_class))
+        return Elimination(rows, ops[0])
+
     def marginals(
         self,
         restrict: Optional[Dict[Variable, int]] = None,
@@ -369,16 +389,22 @@ class FactorisedPlan:
         counts only) — the per-pivot count vector pivoted workloads
         aggregate.
         """
-        ops = [0]
+        elimination = self.eliminate(restrict)
+        if stats is not None:
+            stats.steps += elimination.ops
+        return self._marginals(elimination)
+
+    def _marginals(
+        self, elimination: "Elimination"
+    ) -> Tuple[int, Dict[Variable, Dict[int, int]]]:
+        """:meth:`marginals` read off ``elimination``, once, uncharged."""
+        if elimination.marginals is not None:
+            return elimination.marginals
         count = 0
         inj: Dict[Variable, Counter] = {
             var: Counter() for var in self.variables
         }
-        for quotient in self.quotients:
-            cand = self._restricted(quotient, restrict)
-            if cand is None:
-                continue
-            totals, by_class = self._component_roots(quotient, cand, ops)
+        for quotient, _, totals, by_class in elimination.rows:
             if not all(totals):
                 continue
             full = 1
@@ -392,12 +418,11 @@ class FactorisedPlan:
                 bucket = inj[var]
                 for a, hom in by_class[cls].items():
                     bucket[a] += scale * hom
-        if stats is not None:
-            stats.steps += ops[0]
-        return count, {
+        elimination.marginals = count, {
             var: {a: n for a, n in sorted(bucket.items()) if n > 0}
             for var, bucket in inj.items()
         }
+        return elimination.marginals
 
     def evidence(
         self,
@@ -440,10 +465,32 @@ class FactorisedPlan:
     # ------------------------------------------------------------------
     # dependency tallies
     # ------------------------------------------------------------------
-    def supports_tallies(self, deps) -> bool:
-        """Whether every candidate's literals span at most two variables."""
-        return all(
-            len(_involved_vars(lhs, rhs)) <= 2 for lhs, rhs in deps
+    @staticmethod
+    def compile_tallies(deps) -> Optional["TallyShape"]:
+        """The variable shape of each candidate, or ``None``.
+
+        ``None`` when a candidate's literals span more than two
+        variables (the caller enumerates instead).  Compile once per
+        dependency list and reuse it for every pin.
+        """
+        keys = []
+        pair_attrs: Dict[Tuple[Variable, Variable], set] = {}
+        for lhs, rhs in deps:
+            involved = tuple(sorted(_involved_vars(lhs, rhs)))
+            if len(involved) > 2:
+                return None
+            if len(involved) == 2:
+                bucket = pair_attrs.setdefault(involved, set())
+                for literal in lhs + rhs:
+                    bucket.update(_literal_attrs(literal))
+            keys.append(involved)
+        tables = {
+            pair: (pair, tuple(sorted(attrs)))
+            for pair, attrs in pair_attrs.items()
+        }
+        return TallyShape(
+            tuple(tables[key] if len(key) == 2 else key for key in keys),
+            tuple(tables.values()),
         )
 
     def dependency_tallies(
@@ -462,68 +509,97 @@ class FactorisedPlan:
         elimination pass per quotient.  ``None`` signals the caller to
         enumerate instead: a candidate spans more than two variables, or
         an attribute value is unhashable (profile tables key on values).
+        Equivalent to :meth:`compile_tallies` + :meth:`eliminate` +
+        :meth:`tallies`, which callers asking many dependency lists per
+        pin use directly.
         """
-        if not self.supports_tallies(deps):
+        shape = self.compile_tallies(deps)
+        if shape is None:
             return None
-        ops = [0]
-        node_ids = self.snapshot.node_ids
-        count, inj = self.marginals(restrict, stats=None)
+        return self.tallies(
+            graph, deps, shape, self.eliminate(restrict), stats
+        )
 
-        # Which attributes each variable pair's profiles must carry.
-        pair_attrs: Dict[Tuple[Variable, Variable], set] = {}
-        for lhs, rhs in deps:
-            involved = _involved_vars(lhs, rhs)
-            if len(involved) == 2:
-                pair = tuple(sorted(involved))
-                bucket = pair_attrs.setdefault(pair, set())
-                for literal in lhs + rhs:
-                    bucket.update(_literal_attrs(literal))
+    def tallies(
+        self,
+        graph,
+        deps,
+        shape: "TallyShape",
+        elimination: "Elimination",
+        stats: Optional[MatchStats] = None,
+    ) -> Optional[List[Tuple[int, int]]]:
+        """:meth:`dependency_tallies` over a shared elimination.
+
+        ``shape`` is ``deps`` compiled by :meth:`compile_tallies`.
+        Charges exactly what a standalone call measures: the marginals
+        are free, and each pair table costs one full elimination plus
+        its profile-annotated passes — recorded once, charged per use.
+        """
+        charge = 0
         try:
-            pair_tables = {
-                pair: self._pair_table(
-                    graph, pair, tuple(sorted(attrs)), restrict, ops
-                )
-                for pair, attrs in pair_attrs.items()
-            }
+            for key in shape.tables:
+                entry = elimination.tables.get(key)
+                if entry is None:
+                    entry = self._pair_rows(graph, key, elimination)
+                    elimination.tables[key] = entry
+                charge += entry[1]
         except TypeError:
             return None  # unhashable attribute value in a profile key
 
+        count = None
         out: List[Tuple[int, int]] = []
-        for lhs, rhs in deps:
-            involved = sorted(_involved_vars(lhs, rhs))
-            if not involved:
-                supported = count
-                satisfied = count
-            elif len(involved) == 1:
-                var = involved[0]
-                supported = satisfied = 0
-                for a, matched in inj[var].items():
-                    values = {var: graph.attrs(node_ids[a])}
-                    if not _profile_satisfies(values, lhs):
-                        continue
-                    supported += matched
-                    if _profile_satisfies(values, rhs):
-                        satisfied += matched
+        for (lhs, rhs), key in zip(deps, shape.keys):
+            if not key:
+                if count is None:
+                    count = self._marginals(elimination)[0]
+                out.append((count, count))
+                continue
+            if len(key) == 1:
+                rows = elimination.var_rows.get(key[0])
+                if rows is None:
+                    rows = self._var_rows(graph, key[0], elimination)
+                    elimination.var_rows[key[0]] = rows
             else:
-                pair = tuple(involved)
-                attrs = tuple(sorted(pair_attrs[pair]))
-                supported = satisfied = 0
-                for (p1, p2), matched in pair_tables[pair].items():
-                    values = {
-                        pair[0]: dict(zip(attrs, p1)),
-                        pair[1]: dict(zip(attrs, p2)),
-                    }
-                    if not _profile_satisfies(values, lhs):
-                        continue
-                    supported += matched
-                    if _profile_satisfies(values, rhs):
-                        satisfied += matched
+                rows = elimination.tables[key][0]
+            supported = satisfied = 0
+            for values, matched in rows:
+                if not _profile_satisfies(values, lhs):
+                    continue
+                supported += matched
+                if _profile_satisfies(values, rhs):
+                    satisfied += matched
             out.append((supported, satisfied))
         if stats is not None:
-            stats.steps += ops[0]
+            stats.steps += charge
         return out
 
-    def _pair_table(self, graph, pair, attrs, restrict, ops):
+    def _var_rows(self, graph, var, elimination):
+        """``[(profile values, matched)]`` off ``var``'s marginal."""
+        node_ids = self.snapshot.node_ids
+        return [
+            ({var: graph.attrs(node_ids[a])}, matched)
+            for a, matched in self._marginals(elimination)[1][var].items()
+        ]
+
+    def _pair_rows(self, graph, key, elimination):
+        """``([(profile values, matched)], ops)`` of one pair table.
+
+        ``ops`` is the table's standalone cost: one full elimination
+        plus its own profile-annotated passes.
+        """
+        pair, attrs = key
+        ops = [elimination.ops]
+        table = self._pair_table(graph, pair, attrs, elimination, ops)
+        rows = [
+            (
+                {pair[0]: dict(zip(attrs, p1)), pair[1]: dict(zip(attrs, p2))},
+                matched,
+            )
+            for (p1, p2), matched in table.items()
+        ]
+        return rows, ops[0]
+
+    def _pair_table(self, graph, pair, attrs, elimination, ops):
         """Injective joint profile distribution of a variable pair.
 
         ``table[(profile(v1), profile(v2))]`` = number of injective
@@ -545,11 +621,7 @@ class FactorisedPlan:
             )
 
         table: Counter = Counter()
-        for quotient in self.quotients:
-            cand = self._restricted(quotient, restrict)
-            if cand is None:
-                continue
-            totals, by_class = self._component_roots(quotient, cand, ops)
+        for quotient, cand, totals, by_class in elimination.rows:
             if not all(totals):
                 continue
             full = 1
@@ -585,6 +657,42 @@ class FactorisedPlan:
                     for prof2, hom2 in prof2_marg.items():
                         table[(prof1, prof2)] += scale * hom1 * hom2
         return {key: n for key, n in table.items() if n}
+
+
+class Elimination:
+    """One restriction's elimination, shared by every query over it.
+
+    ``rows`` holds, per quotient whose candidates survive the
+    restriction, ``(quotient, class candidates, per-component totals,
+    per-class rooted marginals)``.  ``ops`` is what computing them cost;
+    every query that reads them is charged as if it had run the pass
+    itself, so a unit's ``steps`` do not depend on how many queries
+    share one elimination.  Derived views (the marginals, the pair
+    tables and the per-variable profile rows) are cached here too, so an
+    elimination serves a single pin over a single graph: the block its
+    plan was compiled for.
+    """
+
+    __slots__ = ("rows", "ops", "marginals", "tables", "var_rows")
+
+    def __init__(self, rows, ops: int) -> None:
+        self.rows = rows
+        self.ops = ops
+        self.marginals = None
+        self.tables: Dict[tuple, tuple] = {}
+        self.var_rows: Dict[Variable, list] = {}
+
+
+class TallyShape(NamedTuple):
+    """A dependency list compiled by :meth:`FactorisedPlan.compile_tallies`.
+
+    ``keys`` holds one key per candidate: ``()`` (no variables),
+    ``(var,)`` or a pair table's ``(pair, attrs)``; ``tables`` lists
+    each pair table the list reads, once.
+    """
+
+    keys: tuple
+    tables: tuple
 
 
 def _vadd(x, y):

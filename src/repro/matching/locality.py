@@ -9,7 +9,8 @@ graph.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graph.graph import NodeId, PropertyGraph
 from ..graph.subgraph import k_hop_nodes
@@ -80,9 +81,14 @@ def pivot_candidates(
     components are isomorphic, symmetric permutations are deduplicated by
     requiring candidate tuples in non-decreasing node order within each
     symmetry class — the paper's Example 10 deduplication.
+
+    A depth-first walk over the per-entry pools with an explicit stack of
+    pool iterators, not a recursive nested generator (one holds itself
+    through its own cell: a cycle per call that only a full collection
+    frees).  Output order is the pools' product order, first entry
+    slowest.
     """
     from ..graph.graph import WILDCARD
-    from ..pattern.containment import are_isomorphic
 
     entries = list(pivot)
     pools: List[List[NodeId]] = []
@@ -95,24 +101,35 @@ def pivot_candidates(
         pools.append(sorted(pool, key=repr))
 
     prev_in_class = symmetry_predecessors(pattern, pivot)
-
-    def extend(index: int, chosen: List[NodeId]) -> Iterator[Dict[Variable, NodeId]]:
-        if index == len(entries):
-            yield {
-                entry.variable: node for entry, node in zip(entries, chosen)
-            }
-            return
-        for node in pools[index]:
+    if not entries:
+        yield {}
+        return
+    chosen: List[NodeId] = []
+    levels = [iter(pools[0])]  # one pool iterator per open depth
+    while levels:
+        depth = len(chosen)
+        prev = prev_in_class[depth]
+        for node in levels[-1]:
             if node in chosen:
                 continue  # one-to-one mapping σ
-            prev = prev_in_class[index]
             if prev is not None and repr(node) < repr(chosen[prev]):
                 # Canonical order within a class of isomorphic components
                 # removes symmetric duplicates (Example 10).
                 continue
-            yield from extend(index + 1, chosen + [node])
-
-    yield from extend(0, [])
+            chosen.append(node)
+            if depth + 1 == len(entries):
+                yield {
+                    entry.variable: chosen_node
+                    for entry, chosen_node in zip(entries, chosen)
+                }
+                chosen.pop()
+                continue
+            levels.append(iter(pools[depth + 1]))
+            break
+        else:  # this depth is exhausted: back to the one above
+            levels.pop()
+            if chosen:
+                chosen.pop()
 
 
 def symmetry_predecessors(
@@ -126,17 +143,56 @@ def symmetry_predecessors(
     dependency ``X → Y`` need not be symmetric under component swaps, so
     both orientations must be checked).
     """
+    return list(_symmetry(pattern.signature(), pivot)[0])
+
+
+def symmetry_classes(
+    pattern: GraphPattern, pivot: PivotVector
+) -> Tuple[Tuple[int, ...], ...]:
+    """Pivot entry indices grouped into symmetry classes, first-seen order."""
+    return _symmetry(pattern.signature(), pivot)[1]
+
+
+#: distinct ``(pattern, pivot)`` shapes whose symmetry structure is kept
+SYMMETRY_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=SYMMETRY_CACHE_SIZE)
+def _symmetry(signature: Tuple, pivot: PivotVector) -> Tuple[tuple, tuple]:
+    """``(predecessors, classes)`` of a pivot vector, computed once.
+
+    Every work unit re-expands its candidate over the leader's symmetry
+    classes, and deciding them takes ``restricted_to`` views and
+    isomorphism tests that depend only on the pattern and its pivot.
+    Keyed by the pattern's *signature* (an immutable value), never by
+    the mutable pattern object, so a later ``add_edge`` cannot alias an
+    entry.
+    """
     from ..pattern.containment import are_isomorphic
 
+    nodes, edges = signature
+    pattern = GraphPattern()
+    for var, label in nodes:
+        pattern.add_node(var, label)
+    for src, dst, label in edges:
+        pattern.add_edge(src, dst, label)
     entries = list(pivot)
     views = [pattern.restricted_to(entry.component) for entry in entries]
     prev: List[Optional[int]] = [None] * len(entries)
+    classes: List[List[int]] = []
+    class_of: List[int] = []
     for i in range(len(entries)):
         for j in range(i - 1, -1, -1):
             if are_isomorphic(views[i], views[j]):
                 prev[i] = j
                 break
-    return prev
+        if prev[i] is None:
+            class_of.append(len(classes))
+            classes.append([i])
+        else:
+            class_of.append(class_of[prev[i]])
+            classes[class_of[i]].append(i)
+    return tuple(prev), tuple(tuple(members) for members in classes)
 
 
 def candidate_permutations(
@@ -154,18 +210,7 @@ def candidate_permutations(
     from itertools import permutations, product
 
     entries = list(pivot)
-    prev = symmetry_predecessors(pattern, pivot)
-    # Group entry indices into symmetry classes.
-    classes: List[List[int]] = []
-    index_class: Dict[int, int] = {}
-    for i in range(len(entries)):
-        if prev[i] is None:
-            index_class[i] = len(classes)
-            classes.append([i])
-        else:
-            index_class[i] = index_class[prev[i]]
-            classes[index_class[i]].append(i)
-
+    classes = symmetry_classes(pattern, pivot)
     base = [assignment[entry.variable] for entry in entries]
 
     # Distinct permutations per class, first-seen order; their cartesian

@@ -146,6 +146,16 @@ class BlockMaterialiser:
     bounded by the budget, not by the number of distinct blocks in the
     run (an evicted block is simply rebuilt on its next use).
 
+    A cached block holds at most one matcher per distinct leader pattern
+    run over it, each sized ``O(|Q| · |block|)``.  Matchers are keyed by
+    pattern content, so they can outlive a rule-set swap: a worker slot
+    calls :meth:`keep_matchers` with the patterns of the outgoing and
+    the incoming Σ, so each discovery phase reuses the candidate sets
+    and factorised plans an earlier one compiled, while the matchers of
+    older rule sets go.  Per block, the retained matchers are therefore
+    bounded by the patterns of two rule sets; they also go when the
+    block is evicted, or when a structural op patches it.
+
     Concurrency semantics (the coordinator path): one materialiser may be
     shared by concurrently running workers (e.g. the thread-backed
     :func:`~repro.parallel.cluster.run_concurrently` demo).  All cache
@@ -206,20 +216,17 @@ class BlockMaterialiser:
             self._cache.clear()
             self._retained = 0
 
-    def drop_matchers(self) -> None:
-        """Drop cached matchers but keep blocks and their snapshots warm.
+    def keep_matchers(self, patterns: "Set[object]") -> None:
+        """Drop every cached matcher whose pattern is not in ``patterns``.
 
-        Used when the rule set driving a warm shard changes (a session's
-        discovery phases swap probe/mined Σ in and out): block structure
-        is untouched, so the expensive part of the cache survives, while
-        matchers — compiled per pattern — are rebuilt on demand.  Matcher
-        entries are keyed by pattern (not by Σ-index), so this is purely
-        a memory-hygiene measure: a stale Σ's matchers can never be
-        *mis*used, only linger.
+        Blocks and snapshots stay warm.  Called on a rule-set swap with
+        the patterns of both rule sets, so what the next phase shares
+        with the last one stays compiled and nothing older lingers.
         """
         with self._lock:
             for _, matchers in self._cache.values():
-                matchers.clear()
+                for pattern in [p for p in matchers if p not in patterns]:
+                    del matchers[pattern]
 
     def apply_ops(self, ops: "Sequence[tuple]") -> int:
         """Patch cached blocks in place for a batch of graph update ops.
@@ -497,9 +504,11 @@ def _factorised_count(
         sigma, unit.group.leader_index, unit.block_nodes
     )
     plan = matcher.factorised_plan()
-    if plan is None or not all(
-        plan.supports_tallies(deps) for deps in member_deps
-    ):
+    shapes = (
+        [plan.compile_tallies(deps) for deps in member_deps]
+        if plan is not None else None
+    )
+    if shapes is None or any(shape is None for shape in shapes):
         if strict:
             raise ValueError(
                 "eval_mode='factorised' but the unit does not factorise "
@@ -515,9 +524,12 @@ def _factorised_count(
         restrict = matcher._pin_indices(pinned)
         if restrict is _NO_MATCH:
             continue
-        for member_pos, deps in enumerate(member_deps):
-            tallies = plan.dependency_tallies(
-                block, deps, restrict, stats=stats
+        # One elimination per pin serves every member's tallies; each
+        # member is still charged what its own elimination would cost.
+        elimination = plan.eliminate(restrict)
+        for member_pos, (deps, shape) in enumerate(zip(member_deps, shapes)):
+            tallies = plan.tallies(
+                block, deps, shape, elimination, stats=stats
             )
             if tallies is None:
                 if strict:

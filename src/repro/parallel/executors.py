@@ -945,6 +945,24 @@ class _ResidentShard:
         self.match_store = match_store
         self.segment = segment
 
+    def swap_sigma(self, sigma_blob: bytes) -> None:
+        """Install a new rule set over the resident shard.
+
+        Discovery's phases, a mined-Σ confirmation pass and a base
+        validate in between all swap Σ over the same shard.  Blocks,
+        snapshots and resident matches stay warm, and so do the matchers
+        of every pattern in the outgoing or the incoming Σ.  Matchers and
+        matches are keyed by pattern *content*, so the next phase reuses
+        the factorised plans and replays the matches an earlier one
+        built, while matchers of older rule sets are dropped, not
+        accumulated.
+        """
+        previous = self.sigma
+        self.sigma = unpack_shard(sigma_blob)
+        self.materialiser.keep_matchers(
+            {gfd.pattern for gfd in (*previous, *self.sigma)}
+        )
+
     def release_segment(self) -> None:
         """Detach from the backing shared-memory segment, if any.
 
@@ -1040,19 +1058,12 @@ def _run_slot(
         entry.materialiser.apply_ops(ops)
         entry.match_store.apply_ops(ops)
         if sigma_blob is not None:
-            entry.sigma = unpack_shard(sigma_blob)
+            entry.swap_sigma(sigma_blob)
     else:  # reuse: shard, snapshot *and* block cache stay warm
         epoch, sigma_blob = payload
         entry = cache[(epoch, slot)]
         if sigma_blob is not None:
-            # New rule set over the same resident shard (discovery's
-            # phases, a mined-Σ confirmation pass): blocks and snapshots
-            # stay warm; per-pattern matchers are dropped so stale
-            # patterns don't accumulate.  Resident matches are keyed by
-            # pattern *content*, so they survive the Σ swap — that is
-            # what lets count/confirm replay what mine enumerated.
-            entry.sigma = unpack_shard(sigma_blob)
-            entry.materialiser.drop_matchers()
+            entry.swap_sigma(sigma_blob)
     units = _restore_unit_payloads(units, unit_payloads)
     units = expand_count_payloads(units)
     results = []

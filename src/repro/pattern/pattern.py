@@ -34,7 +34,10 @@ class GraphPattern:
         q.add_edge("x", "z", "capital")
     """
 
-    __slots__ = ("_labels", "_out", "_in", "_order", "_num_edges")
+    __slots__ = ("_labels", "_out", "_in", "_order", "_num_edges", "_sig")
+
+    #: the slots a pickle carries (``_sig`` is derived, never shipped)
+    _STATE = ("_labels", "_out", "_in", "_order", "_num_edges")
 
     def __init__(self) -> None:
         self._labels: Dict[Variable, str] = {}
@@ -43,6 +46,16 @@ class GraphPattern:
         #: insertion order of variables = the list x̄
         self._order: List[Variable] = []
         self._num_edges = 0
+        #: cached :meth:`signature`; reset by every mutation
+        self._sig: Optional[Tuple] = None
+
+    def __getstate__(self):
+        return (None, {slot: getattr(self, slot) for slot in self._STATE})
+
+    def __setstate__(self, state) -> None:
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self._sig = None
 
     # ------------------------------------------------------------------
     # construction
@@ -64,6 +77,7 @@ class GraphPattern:
         self._out[variable] = []
         self._in[variable] = []
         self._order.append(variable)
+        self._sig = None
         return variable
 
     def add_edge(self, src: Variable, dst: Variable, label: str = WILDCARD) -> None:
@@ -77,6 +91,7 @@ class GraphPattern:
         self._out[src].append((dst, label))
         self._in[dst].append((src, label))
         self._num_edges += 1
+        self._sig = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -205,11 +220,16 @@ class GraphPattern:
 
         Two patterns with equal variables/labels/edges share a signature.
         (For isomorphism-invariant grouping see
-        :func:`repro.pattern.containment.canonical_form`.)
+        :func:`repro.pattern.containment.canonical_form`.)  Computed once
+        and cached until the next ``add_node``/``add_edge``: matcher
+        tables and match stores hash patterns on every lookup.
         """
-        nodes = tuple(sorted((v, self._labels[v]) for v in self._order))
-        edges = tuple(sorted(self.edges()))
-        return (nodes, edges)
+        sig = self._sig
+        if sig is None:
+            nodes = tuple(sorted((v, self._labels[v]) for v in self._order))
+            edges = tuple(sorted(self.edges()))
+            sig = self._sig = (nodes, edges)
+        return sig
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphPattern):

@@ -16,10 +16,16 @@ Pins the tentpole contract of `ValidationSession.discover`:
   depended on enumeration order), and the explicit seeded sample is
   invariant under input shuffling;
 * **sessions interleave** — base-Σ validation stays correct before and
-  after mining on the same pool (the worker-side rule-set swap).
+  after mining on the same pool (the worker-side rule-set swap);
+* **compiled work survives Σ swaps** — a slot's matchers outlive
+  discovery's phases and base validates until their block is evicted
+  or patched, without changing what is mined or charged; a Σ swap
+  drops only the matchers of older rule sets, so they stay bounded
+  however many distinct patterns run.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -34,9 +40,12 @@ from repro.core.discovery import (
     candidate_dependencies,
     candidate_patterns,
     canonical_matches,
+    probe_gfds,
 )
 from repro.graph import greedy_edge_cut_partition, hash_partition
 from repro.matching import SubgraphMatcher
+from repro.parallel import estimate_workload
+from repro.parallel.executors import _run_slot, pack_shard
 
 SEEDS = (0, 7, 13, 21)
 WORKER_COUNTS = (2, 3, 5)
@@ -205,6 +214,119 @@ class TestProcessDiscoveryDifferential:
             assert after.report == before.report
             assert after.shipping.full == 0
             assert after.shipping.shipped_nodes == 0
+
+
+class TestMatcherRetention:
+    """A slot's matchers — candidate sets and factorised plans — live as
+    long as their block, across every Σ swap: discovery's phases, a base
+    validate in between, a warm repeat.  Keeping them must never change
+    what is mined or what is charged."""
+
+    def test_warm_discovers_equal_fresh_and_serial(self, workloads):
+        graph = workloads[0][0].copy()
+        sigma = generate_gfds(graph, count=3, pattern_edges=1, seed=0)
+        removed = min(graph.edges(), key=repr)
+        with ValidationSession(
+            graph, sigma, executor="process", processes=2
+        ) as session:
+            session.discover(n=2, eval_mode="auto", **PARAMS)
+            for round_ in range(3):
+                session.validate(n=2)  # the base Σ swaps in and out
+                if round_ == 2:  # a structural delta on warm blocks
+                    session.update([("edge-", *removed)])
+                warm = session.discover(n=2, eval_mode="auto", **PARAMS)
+                current = graph.copy()
+                serial = discover_gfds(current, **PARAMS)
+                with ValidationSession(current, []) as fresh:
+                    cold = fresh.discover(n=2, eval_mode="auto", **PARAMS)
+                expected = [mined_key(d) for d in serial]
+                assert [mined_key(d) for d in warm.rules] == expected
+                assert [mined_key(d) for d in cold.rules] == expected
+                assert [(p.phase, p.report) for p in warm.phases] == [
+                    (p.phase, p.report) for p in cold.phases
+                ], round_
+
+    def test_sigma_swap_keeps_matchers_and_structural_delta_replaces(
+        self, workloads
+    ):
+        graph = workloads[7][0]
+        sigma = generate_gfds(graph, count=3, pattern_edges=1, seed=7)
+        units = [
+            replace(unit, kind="mine", payload=(50, "aggregate"))
+            for unit in estimate_workload(sigma, graph)[:20]
+        ]
+        unit = units[0]
+        pattern = sigma[unit.group.leader_index].pattern
+        cache = {}
+        _run_slot(cache, 0, "full", (
+            "e1", pack_shard(sigma), ("pickle", pack_shard(graph)), 10_000,
+        ), units)
+        materialiser = cache[("e1", 0)].materialiser
+
+        def matcher():
+            return materialiser._cache[unit.block_nodes][1][pattern]
+
+        kept = matcher()
+        assert kept.factorised_plan() is not None
+        # a new rule set over the same shard (a probe Σ, a mined Σ)
+        swapped = sigma + generate_gfds(graph, count=2, seed=8)
+        _run_slot(cache, 0, "reuse", ("e1", pack_shard(swapped)), units)
+        assert matcher() is kept
+        # a structural op inside the block drops the block's matchers
+        edge = min(
+            (
+                (src, dst, label) for src, dst, label in graph.edges()
+                if src in unit.block_nodes and dst in unit.block_nodes
+            ),
+            key=repr,
+        )
+        delta = pack_shard(([("edge-", *edge)], [], []))
+        _run_slot(cache, 0, "delta", ("e1", delta, None), [])
+        _run_slot(cache, 0, "reuse", ("e1", None), units[:1])
+        assert matcher() is not kept
+
+    def test_varied_discovers_keep_two_rule_sets_of_matchers(
+        self, workloads
+    ):
+        """Discovers with changing parameters swap ever new probe Σs
+        over one resident shard.  A slot keeps the matchers of the
+        outgoing and the incoming Σ and drops older ones, so the
+        retained matchers stay bounded however many patterns run."""
+        graph = workloads[7][0]
+        sigmas = [
+            probe_gfds(candidate_patterns(graph, max_edges=edges, top_edges=top))
+            for edges, top in ((2, 5), (1, 2), (1, 3), (2, 3), (1, 7))
+        ]
+
+        def patterns(sigma):
+            return {gfd.pattern for gfd in sigma}
+
+        def retained():
+            return {
+                pattern
+                for _, matchers in cache[("e1", 0)].materialiser._cache.values()
+                for pattern in matchers
+            }
+
+        cache = {}
+        dropped = set()
+        for step, sigma in enumerate(sigmas):
+            units = [
+                replace(unit, kind="mine", payload=(50, "aggregate"))
+                for unit in estimate_workload(sigma, graph)
+            ]
+            allowed = patterns(sigma)
+            if step == 0:
+                _run_slot(cache, 0, "full", (
+                    "e1", pack_shard(sigma), ("pickle", pack_shard(graph)),
+                    10_000,
+                ), units)
+            else:
+                allowed |= patterns(sigmas[step - 1])
+                dropped |= retained() - allowed
+                _run_slot(cache, 0, "reuse", ("e1", pack_shard(sigma)), units)
+            assert retained() <= allowed, step
+        assert dropped  # older rule sets' matchers did go
 
 
 class TestSimulatedDiscoveryDifferential:

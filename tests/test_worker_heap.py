@@ -8,6 +8,8 @@ first class pins the acyclic contract over every unit kind and both
 matcher backends; the second drives the worker's slot handler and its
 post-batch freeze in-process and pins that the frozen-object count
 stays flat across warm batches and falls back once a shard is replaced.
+The coordinator's candidate generators are held to the same contract:
+workload estimation runs them once per rule.
 """
 
 import gc
@@ -16,7 +18,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core import generate_gfds
+from repro.core.gfd import make_gfd
 from repro.graph import power_law_graph
+from repro.matching.locality import pivot_candidates
 from repro.matching.vf2 import SubgraphMatcher
 from repro.parallel import estimate_workload, execute_unit
 from repro.parallel.engine import BlockMaterialiser
@@ -29,6 +33,7 @@ from repro.parallel.executors import (
     pack_shard,
 )
 from repro.parallel.multiquery import singleton_groups
+from repro.pattern.pattern import GraphPattern
 
 
 def _workload(seed: int):
@@ -95,6 +100,32 @@ class TestResidentStateIsAcyclic:
         finally:
             gc.enable()
         assert plans > 0  # the factorised path really ran
+        assert garbage == 0
+
+
+class TestCoordinatorGeneratorsAreAcyclic:
+    def test_draining_pivot_candidates_leaves_no_cyclic_garbage(self):
+        graph, sigma, _ = _workload(3)
+        # two isomorphic components: the symmetric-dedup path runs too
+        label = graph.label(min(graph.nodes(), key=repr))
+        pair = GraphPattern()
+        pair.add_node("x", label)
+        pair.add_node("y", label)
+        sigma = sigma + [make_gfd(pair)]
+        for gfd in sigma:
+            assert gfd.pivot  # computed outside the window
+        gc.collect()
+        gc.disable()
+        try:
+            drained = sum(
+                1
+                for gfd in sigma
+                for _ in pivot_candidates(graph, gfd.pattern, gfd.pivot)
+            )
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert drained > 0
         assert garbage == 0
 
 
