@@ -198,7 +198,7 @@ class SubgraphMatcher:
         fixed = fixed or {}
         stats = stats if stats is not None else MatchStats()
         for var in fixed:
-            if var not in self.pattern:
+            if var not in self._cand:  # one entry per pattern variable
                 raise KeyError(f"unknown pattern variable {var!r}")
         if self.snapshot is not None:
             index_of = self.snapshot.index

@@ -25,14 +25,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executors import (
         MatchStore,
         MultiprocessExecutor,
+        PlanKey,
         ShardCache,
         ShippingStats,
     )
-    from .faults import FaultPolicy
+    from .faults import FaultPolicy, WorkerFaultContext
 
 from ..graph.graph import NodeId, PropertyGraph
 from ..graph.updates import apply_op, is_structural, op_nodes
-from ..matching.locality import candidate_permutations
+from ..matching.locality import candidate_permutations, symmetry_classes
 from ..matching.vf2 import _NO_MATCH, MatchStats, SubgraphMatcher
 from ..core.discovery import EvidenceAggregate, match_items_key
 from ..core.gfd import GFD
@@ -345,35 +346,131 @@ def execute_unit(
     would measure (step counts are enumeration-order-free), so results
     and cost reports are replay-invariant; an evicted or never-stored
     entry transparently falls back to enumeration.
+
+    A whole slot runs through :func:`run_slot` instead, which resolves
+    each group's pattern-level work once rather than once per unit.
     """
     if materialiser is None:
         materialiser = BlockMaterialiser(graph)
-    if unit.kind == "detect":
-        return _execute_detect(sigma, unit, materialiser, match_store)
-    if unit.kind == "mine":
-        return _execute_mine(sigma, unit, materialiser, match_store)
-    if unit.kind == "count":
-        return _execute_count(sigma, unit, materialiser, match_store)
-    raise ValueError(f"unknown work-unit kind {unit.kind!r}")
-
-
-def _pinned_matches(sigma, unit, materialiser, stats):
-    """Pivoted leader-pattern matches of a unit (symmetry re-expanded)."""
-    block, matcher = materialiser.matcher(
-        sigma, unit.group.leader_index, unit.block_nodes
+    return _Group(sigma, unit.group).execute_unit(
+        unit, materialiser, match_store
     )
-    leader = sigma[unit.group.leader_index]
+
+
+class _Group:
+    """One shared group's unit-invariant work, resolved once per slot.
+
+    Every unit of a group runs the same leader pattern over its own
+    block, so the leader, its members and its pivot's symmetry classes
+    depend on the group alone.  When every class is a singleton (a
+    one-entry pivot, or one whose components are pairwise
+    non-isomorphic), a candidate tuple has exactly one permutation —
+    itself — so a unit pins its own assignment instead of re-expanding
+    it.  Holds no per-unit state: results,
+    ``steps`` and the match-store traffic of a unit are what
+    :func:`execute_unit` gives it alone.
+    """
+
+    __slots__ = ("sigma", "leader_index", "pattern", "pivot", "members",
+                 "direct")
+
+    def __init__(self, sigma: Sequence[GFD], group) -> None:
+        leader = sigma[group.leader_index]
+        self.sigma = sigma
+        self.leader_index = group.leader_index
+        self.pattern = leader.pattern
+        self.pivot = leader.pivot
+        self.members = group.members
+        self.direct = all(
+            len(members) == 1
+            for members in symmetry_classes(leader.pattern, leader.pivot)
+        )
+
+    def execute_unit(
+        self,
+        unit: WorkUnit,
+        materialiser: BlockMaterialiser,
+        match_store: Optional["MatchStore"],
+    ) -> UnitResult:
+        if unit.kind == "detect":
+            return _execute_detect(self, unit, materialiser, match_store)
+        if unit.kind == "mine":
+            return _execute_mine(self, unit, materialiser, match_store)
+        if unit.kind == "count":
+            return _execute_count(self, unit, materialiser, match_store)
+        raise ValueError(f"unknown work-unit kind {unit.kind!r}")
+
+    def pins(self, unit: WorkUnit):
+        """The unit's candidate tuple re-expanded over symmetry classes."""
+        if self.direct:
+            return (dict(unit.assignment),)
+        return candidate_permutations(
+            self.pattern, self.pivot, unit.pivot_assignment
+        )
+
+    def matcher(
+        self, materialiser: BlockMaterialiser, unit: WorkUnit
+    ) -> Tuple[PropertyGraph, SubgraphMatcher]:
+        return materialiser.matcher(
+            self.sigma, self.leader_index, unit.block_nodes
+        )
+
+
+def run_slot(
+    sigma: Sequence[GFD],
+    units: Sequence[WorkUnit],
+    materialiser: BlockMaterialiser,
+    match_store: Optional["MatchStore"] = None,
+    faults: Optional["WorkerFaultContext"] = None,
+    progress: Optional[List[int]] = None,
+) -> List[Optional[UnitResult]]:
+    """Execute one plan slot's primary units; replicas map to ``None``.
+
+    The one slot loop of both backends (the simulated executor and a
+    worker process).  Each shared group's leader, members and symmetry
+    classes are resolved on its first unit and reused by the rest, while
+    every unit keeps its own :class:`MatchStats` — so each unit's
+    ``steps``, and with them the cost report, are what
+    :func:`execute_unit` measures.  ``faults`` (a worker's fault
+    injection triggers) is consulted before every unit, and
+    ``progress[0]`` — the counter a worker's heartbeat reports — ticks
+    after each.  The slot-level payload passes (count-payload
+    derivation, per-group result folding) run here too, so both
+    backends consume and produce identically-shaped unit payloads.
+    """
+    units = expand_count_payloads(units)
+    groups: Dict[int, _Group] = {}
+    results: List[Optional[UnitResult]] = []
+    for unit in units:
+        if not unit.primary:
+            results.append(None)
+            continue
+        if faults is not None:
+            faults.before_unit()
+        group = groups.get(id(unit.group))
+        if group is None:
+            group = groups[id(unit.group)] = _Group(sigma, unit.group)
+        results.append(group.execute_unit(unit, materialiser, match_store))
+        if progress is not None:
+            progress[0] += 1
+    consolidate_slot_results(units, results)
+    return results
+
+
+def _pinned_matches(group, unit, materialiser, stats):
+    """Pivoted leader-pattern matches of a unit (symmetry re-expanded)."""
+    block, matcher = group.matcher(materialiser, unit)
+    if group.direct:  # one pin: hand back the matcher's own generator
+        return block, matcher.matches(fixed=dict(unit.assignment), stats=stats)
 
     def generate():
-        for pinned in candidate_permutations(
-            leader.pattern, leader.pivot, unit.pivot_assignment
-        ):
+        for pinned in group.pins(unit):
             yield from matcher.matches(fixed=pinned, stats=stats)
 
     return block, generate()
 
 
-def _store_key(sigma: Sequence[GFD], unit: WorkUnit) -> tuple:
+def _store_key(group: _Group, unit: WorkUnit) -> tuple:
     """A unit's enumeration identity: (leader pattern, pivot, block).
 
     Keyed by pattern *content* (signature hash), not by Σ-index — the
@@ -381,18 +478,14 @@ def _store_key(sigma: Sequence[GFD], unit: WorkUnit) -> tuple:
     live, so a hit is always semantically safe across discovery's
     probe/mined Σ swaps.
     """
-    return (
-        sigma[unit.group.leader_index].pattern,
-        unit.assignment,
-        unit.block_nodes,
-    )
+    return (group.pattern, unit.assignment, unit.block_nodes)
 
 
-def _replayed(sigma, unit, materialiser, match_store):
+def _replayed(group, unit, materialiser, match_store):
     """The unit's resident ``(steps, match items, block)``, if stored."""
     if match_store is None:
         return None
-    stored = match_store.get(_store_key(sigma, unit))
+    stored = match_store.get(_store_key(group, unit))
     if stored is None:
         return None
     steps, items = stored
@@ -400,7 +493,7 @@ def _replayed(sigma, unit, materialiser, match_store):
 
 
 def _execute_detect(
-    sigma: Sequence[GFD],
+    group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
     match_store: Optional["MatchStore"] = None,
@@ -411,21 +504,21 @@ def _execute_detect(
     ``confirm`` phase re-skins mining units as ``detect``) replays it —
     the mined-Σ validation pass then runs zero VF2 on warm blocks.
     """
-    replay = _replayed(sigma, unit, materialiser, match_store)
+    replay = _replayed(group, unit, materialiser, match_store)
     if replay is not None:
         steps, items, block = replay
         matches = (dict(match_items) for match_items in items)
     else:
         stats = MatchStats()
-        block, matches = _pinned_matches(sigma, unit, materialiser, stats)
+        block, matches = _pinned_matches(group, unit, materialiser, stats)
     violations: Set[Violation] = set()
     for match in matches:
-        for member in unit.group.members:
+        for member in group.members:
             if not match_satisfies_all(block, match, member.lhs):
                 continue
             if match_satisfies_all(block, match, member.rhs):
                 continue
-            member_gfd = sigma[member.index]
+            member_gfd = group.sigma[member.index]
             member_match = {
                 member.iso[var]: node for var, node in match.items()
             }
@@ -439,7 +532,7 @@ def _execute_detect(
 
 
 def _factorised_mine(
-    sigma: Sequence[GFD],
+    group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
     strict: bool,
@@ -454,9 +547,7 @@ def _factorised_mine(
     (``strict`` raises instead — the ``eval_mode="factorised"``
     contract).
     """
-    block, matcher = materialiser.matcher(
-        sigma, unit.group.leader_index, unit.block_nodes
-    )
+    block, matcher = group.matcher(materialiser, unit)
     plan = matcher.factorised_plan()
     if plan is None:
         if strict:
@@ -465,13 +556,10 @@ def _factorised_mine(
                 "does not factorise"
             )
         return None
-    leader = sigma[unit.group.leader_index]
     stats = MatchStats()
     count = 0
     aggregate = EvidenceAggregate()
-    for pinned in candidate_permutations(
-        leader.pattern, leader.pivot, unit.pivot_assignment
-    ):
+    for pinned in group.pins(unit):
         restrict = matcher._pin_indices(pinned)
         if restrict is _NO_MATCH:
             continue
@@ -487,7 +575,7 @@ def _factorised_mine(
 
 
 def _factorised_count(
-    sigma: Sequence[GFD],
+    group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
     member_deps,
@@ -500,9 +588,7 @@ def _factorised_count(
     attribute values — so the enumeration fallback stays a single
     shared VF2 walk over all members, exactly as before.
     """
-    block, matcher = materialiser.matcher(
-        sigma, unit.group.leader_index, unit.block_nodes
-    )
+    block, matcher = group.matcher(materialiser, unit)
     plan = matcher.factorised_plan()
     shapes = (
         [plan.compile_tallies(deps) for deps in member_deps]
@@ -515,12 +601,9 @@ def _factorised_count(
                 "(cyclic pattern or unsupported dependency forms)"
             )
         return None
-    leader = sigma[unit.group.leader_index]
     stats = MatchStats()
     counts = [[[0, 0] for _ in deps] for deps in member_deps]
-    for pinned in candidate_permutations(
-        leader.pattern, leader.pivot, unit.pivot_assignment
-    ):
+    for pinned in group.pins(unit):
         restrict = matcher._pin_indices(pinned)
         if restrict is _NO_MATCH:
             continue
@@ -597,7 +680,7 @@ def _match_list_payload(
 
 
 def _execute_mine(
-    sigma: Sequence[GFD],
+    group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
     match_store: Optional["MatchStore"] = None,
@@ -643,9 +726,9 @@ def _execute_mine(
     payload_in = unit.payload or ()
     cap = payload_in[0] if payload_in else None
     mode = payload_in[1] if len(payload_in) > 1 else "matches"
-    members = unit.group.members
+    members = group.members
 
-    replay = _replayed(sigma, unit, materialiser, match_store)
+    replay = _replayed(group, unit, materialiser, match_store)
     if replay is not None:
         steps, items, block = replay
         if mode == "aggregate":
@@ -664,14 +747,14 @@ def _execute_mine(
 
     if mode == "aggregate" and unit.eval_mode != "enumerate":
         result = _factorised_mine(
-            sigma, unit, materialiser,
+            group, unit, materialiser,
             strict=unit.eval_mode == "factorised",
         )
         if result is not None:
             return result
 
     stats = MatchStats()
-    block, matches = _pinned_matches(sigma, unit, materialiser, stats)
+    block, matches = _pinned_matches(group, unit, materialiser, stats)
 
     if mode == "aggregate":
         aggregate = EvidenceAggregate()
@@ -690,7 +773,7 @@ def _execute_mine(
                     found = None
         if found is not None and match_store is not None:
             found.sort(key=match_items_key)
-            match_store.put(_store_key(sigma, unit), stats.steps,
+            match_store.put(_store_key(group, unit), stats.steps,
                             tuple(found))
         return UnitResult(
             violations=set(),
@@ -736,7 +819,7 @@ def _execute_mine(
         found.sort(key=match_items_key)
         found = tuple(found)
         if match_store is not None:
-            match_store.put(_store_key(sigma, unit), stats.steps, found)
+            match_store.put(_store_key(group, unit), stats.steps, found)
         payload = ("shared", found)
     else:
         payload = (
@@ -757,7 +840,7 @@ def _execute_mine(
 
 
 def _execute_count(
-    sigma: Sequence[GFD],
+    group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
     match_store: Optional["MatchStore"] = None,
@@ -782,20 +865,20 @@ def _execute_count(
     counts = [
         [[0, 0] for _ in deps] for deps in member_deps
     ]
-    replay = _replayed(sigma, unit, materialiser, match_store)
+    replay = _replayed(group, unit, materialiser, match_store)
     if replay is not None:
         steps, items, block = replay
         matches = (dict(match_items) for match_items in items)
     else:
         if unit.eval_mode != "enumerate":
             result = _factorised_count(
-                sigma, unit, materialiser, member_deps,
+                group, unit, materialiser, member_deps,
                 strict=unit.eval_mode == "factorised",
             )
             if result is not None:
                 return result
         stats = MatchStats()
-        block, matches = _pinned_matches(sigma, unit, materialiser, stats)
+        block, matches = _pinned_matches(group, unit, materialiser, stats)
     for match in matches:
         for member_pos, deps in enumerate(member_deps):
             for dep_pos, (lhs, rhs) in enumerate(deps):
@@ -976,6 +1059,7 @@ def run_assignment(
     sigma_key: Optional[object] = None,
     ship_mode: str = "auto",
     fault_policy: Optional["FaultPolicy"] = None,
+    plan_key: Optional["PlanKey"] = None,
 ) -> Set[Violation]:
     """Execute a per-worker unit assignment, charging costs as measured.
 
@@ -1005,7 +1089,9 @@ def run_assignment(
     backend's supervision plane (see
     :class:`~repro.parallel.faults.FaultPolicy`); recovered runs stay
     on this same canonical folding path, so the guarantee extends to
-    runs that lost and respawned workers mid-flight.
+    runs that lost and respawned workers mid-flight.  ``plan_key``
+    names a plan the caller runs again unchanged (a session's cached
+    plan), so warm worker slots that hold it are sent no units.
     """
     from .executors import execute_plan
 
@@ -1027,6 +1113,7 @@ def run_assignment(
         sigma_key=sigma_key,
         ship_mode=ship_mode,
         fault_policy=fault_policy,
+        plan_key=plan_key,
     )
     for worker, worker_units in enumerate(assignment):
         for unit, result in zip(worker_units, results[worker]):
@@ -1035,10 +1122,9 @@ def run_assignment(
             violations |= result.violations
             if unit.split_id is not None:
                 split_steps[unit.split_id] = result.steps
+            share = unit.cost_share
             cluster.charge_unit(
-                worker,
-                steps=int(result.steps * unit.cost_share),
-                block_size=unit.block_size * unit.cost_share,
+                worker, int(result.steps * share), unit.block_size * share
             )
     # Pass 2: replicas share the primary's measured cost and ship partial
     # matches between each other.

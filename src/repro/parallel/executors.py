@@ -43,10 +43,12 @@ worker ``w % size``), and each worker keeps a resident-shard cache keyed
 by ``(run_epoch, worker_id)``.  The session layer
 (:class:`~repro.session.ValidationSession`) keeps the pool alive across
 ``run()`` calls, and a :class:`ShardCache` on the coordinator mirrors
-what every slot holds so consecutive runs over a reused fragmentation
-ship only the block-share *delta* (or, when nothing changed, nothing at
-all).  A ``run()`` on an unstarted executor starts a pool sized to the
-plan's busy slots, runs once and shuts it down again.  Either way
+what every slot holds — its shard, its Σ and its units — so
+consecutive runs over a reused fragmentation ship only the block-share
+*delta*, and a repeated plan (named by a :class:`PlanKey`) ships no
+units (when nothing changed, nothing at all).  A ``run()`` on an
+unstarted executor starts a pool sized to the plan's busy slots, runs
+once and shuts it down again.  Either way
 :class:`ShippingStats` reports full/delta/reuse counts, worker pids and
 fault activity per run.
 
@@ -674,6 +676,9 @@ class ShippingStats:
     kind-specific data path — unit input payloads coordinator→worker
     plus result payloads worker→coordinator.  Discovery's
     aggregate-vs-match-list shipping win is the ``payload_bytes`` delta.
+    ``plan_bytes`` measures the work-unit lists themselves (one packed
+    blob per slot that ships its plan): a warm slot that already holds
+    the run's plan ships none, so a repeated validate reports zero.
 
     ``mapped``/``mapped_bytes`` count full shipments that travelled as
     shared-memory segments instead (``ship_mode="shm"``/``"auto"``, see
@@ -700,6 +705,7 @@ class ShippingStats:
     shard_bytes: int = 0
     mapped_bytes: int = 0
     payload_bytes: int = 0
+    plan_bytes: int = 0
     match_store: Optional[MatchStoreStats] = None
     block_cache: Optional["MaterialiserStats"] = None
     #: fault-handling activity (``None`` until a process run reports); a
@@ -728,6 +734,7 @@ class ShippingStats:
         self.shard_bytes += other.shard_bytes
         self.mapped_bytes += other.mapped_bytes
         self.payload_bytes += other.payload_bytes
+        self.plan_bytes += other.plan_bytes
         if other.match_store is not None:
             if self.match_store is None:
                 self.match_store = MatchStoreStats()
@@ -748,6 +755,29 @@ class ShippingStats:
         return self
 
 
+class PlanKey:
+    """Identity of one cached plan, with each slot's needed node set.
+
+    A session that re-runs an unchanged plan passes the same key, and a
+    warm slot whose worker already holds that plan (the
+    :class:`ShardCache` mirror says so) is sent no units at all.  Keys
+    compare by identity: a re-planned run gets a new key, so its units
+    always ship.  ``needed[w]`` is the union of slot ``w``'s primary
+    block node sets — the shard the slot must hold — computed once
+    with the plan instead of once per run.
+    """
+
+    __slots__ = ("needed",)
+
+    def __init__(self, plan: Sequence[Sequence[WorkUnit]]) -> None:
+        self.needed: Tuple[frozenset, ...] = tuple(
+            frozenset().union(
+                *(unit.block_nodes for unit in units if unit.primary)
+            )
+            for units in plan
+        )
+
+
 @dataclass
 class _SlotState:
     """Coordinator-side mirror of one worker slot's resident shard."""
@@ -757,6 +787,9 @@ class _SlotState:
     seq: int  # position in the ShardCache op log already shipped
     #: identity of the rule set the worker currently holds for this slot
     sigma_key: Optional[object] = None
+    #: the :class:`PlanKey` of the units the worker holds for this slot
+    #: (``None``: a plan no later run can name, such as a discovery phase)
+    plan_key: Optional[PlanKey] = None
 
 
 class ShardCache:
@@ -860,16 +893,20 @@ class ShardCache:
         needed: Set,
         graph: PropertyGraph,
         sigma_key: Optional[object] = None,
-    ) -> Tuple[str, object, bool]:
+        plan_key: Optional[PlanKey] = None,
+    ) -> Tuple[str, object, bool, bool]:
         """Decide how ``slot``'s shard travels this run.
 
-        Returns ``("full", shard_graph, False)``, ``("delta", (ops,
-        add_nodes, add_edges), ship_sigma)`` or ``("reuse", None,
-        ship_sigma)``, updating the slot's mirror state to match what
-        the worker will hold afterwards.  ``ship_sigma`` is ``True``
-        when the rule set identified by ``sigma_key`` differs from what
-        the worker holds for the slot — the caller then sends Σ along
-        (a full shipment always carries Σ, so there it is ``False``).
+        Returns ``("full", shard_graph, False, True)``, ``("delta",
+        (ops, add_nodes, add_edges), ship_sigma, ship_plan)`` or
+        ``("reuse", None, ship_sigma, ship_plan)``, updating the slot's
+        mirror state to match what the worker will hold afterwards.
+        ``ship_sigma`` is ``True`` when the rule set identified by
+        ``sigma_key`` differs from what the worker holds for the slot —
+        the caller then sends Σ along (a full shipment always carries Σ,
+        so there it is ``False``).  ``ship_plan`` is ``False`` only when
+        the worker already holds the units of ``plan_key`` over the same
+        Σ; a full shipment always carries the units.
         """
         with self._lock:
             state = self._slots.get(slot)
@@ -884,21 +921,34 @@ class ShardCache:
                 ]
                 ship_sigma = state.sigma_key != sigma_key
                 state.sigma_key = sigma_key
-                missing = needed - state.resident
+                ship_plan = (
+                    ship_sigma or plan_key is None
+                    or state.plan_key is not plan_key
+                )
+                state.plan_key = plan_key
+                # A slot that holds the plan holds its needed nodes too:
+                # they were resident when the plan was last shipped, and
+                # a resident share only grows.
+                missing = (
+                    needed - state.resident if ship_plan else frozenset()
+                )
                 state.seq = len(self._log)
                 if not ops and not missing:
-                    return "reuse", None, ship_sigma
+                    return "reuse", None, ship_sigma, ship_plan
                 add_nodes, add_edges = self._add_payload(
                     graph, state.resident, missing
                 )
                 state.resident |= missing
-                return "delta", (ops, add_nodes, add_edges), ship_sigma
+                return (
+                    "delta", (ops, add_nodes, add_edges), ship_sigma,
+                    ship_plan,
+                )
             shard = graph.induced_subgraph(needed)
             self._slots[slot] = _SlotState(
                 epoch=epoch, resident=set(needed), seq=len(self._log),
-                sigma_key=sigma_key,
+                sigma_key=sigma_key, plan_key=plan_key,
             )
-            return "full", shard, False
+            return "full", shard, False, True
 
     @staticmethod
     def _add_payload(
@@ -932,9 +982,15 @@ class _ResidentShard:
     ``segment`` is the worker's handle on the shared-memory segment a
     mapped shard is backed by (``None`` on the pickle path), closed via
     :meth:`release_segment` when the shard is dropped or patched.
+
+    ``plan`` is the slot's last shipped unit list (without unit input
+    payloads, which travel per run): a task that ships no units runs
+    this one, as the coordinator's :class:`ShardCache` mirror decided.
     """
 
-    __slots__ = ("sigma", "shard", "materialiser", "match_store", "segment")
+    __slots__ = (
+        "sigma", "shard", "materialiser", "match_store", "segment", "plan",
+    )
 
     def __init__(
         self, sigma, shard, materialiser, match_store, segment=None
@@ -944,6 +1000,7 @@ class _ResidentShard:
         self.materialiser = materialiser
         self.match_store = match_store
         self.segment = segment
+        self.plan: Optional[List[WorkUnit]] = None
 
     def swap_sigma(self, sigma_blob: bytes) -> None:
         """Install a new rule set over the resident shard.
@@ -1001,25 +1058,21 @@ def _run_slot(
     slot: int,
     mode: str,
     payload,
-    units: Sequence[WorkUnit],
+    units: Optional[Sequence[WorkUnit]],
     unit_payloads: Optional[bytes] = None,
     faults: Optional[WorkerFaultContext] = None,
     progress: Optional[List[int]] = None,
 ) -> List["UnitResult"]:
     """Worker-side execution of one plan slot with shard-cache handling.
 
-    ``faults`` is the worker's compiled fault-injection triggers
-    (consulted before every unit and right after an shm attach);
-    ``progress`` is the shared per-batch unit counter the heartbeat
-    thread reports, so the coordinator's ``unit_deadline`` watches real
-    per-unit advancement.
+    ``units`` becomes the slot's resident plan; ``None`` runs the plan
+    the slot already holds.  ``faults`` is the worker's compiled
+    fault-injection triggers (consulted before every unit and right
+    after an shm attach); ``progress`` is the shared per-batch unit
+    counter the heartbeat thread reports, so the coordinator's
+    ``unit_deadline`` watches real per-unit advancement.
     """
-    from .engine import (
-        BlockMaterialiser,
-        consolidate_slot_results,
-        execute_unit,
-        expand_count_payloads,
-    )
+    from .engine import BlockMaterialiser, run_slot
 
     if mode == "full":
         epoch, sigma_blob, shard_ref, match_budget = payload
@@ -1064,41 +1117,62 @@ def _run_slot(
         entry = cache[(epoch, slot)]
         if sigma_blob is not None:
             entry.swap_sigma(sigma_blob)
-    units = _restore_unit_payloads(units, unit_payloads)
-    units = expand_count_payloads(units)
-    results = []
-    for unit in units:
-        if faults is not None:
-            faults.before_unit()
-        results.append(
-            execute_unit(
-                entry.sigma, entry.shard, unit, entry.materialiser,
-                match_store=entry.match_store,
-            )
-        )
-        if progress is not None:
-            progress[0] += 1
-    consolidate_slot_results(units, results)
-    return results
+    if units is None:  # the coordinator's mirror says the slot holds them
+        units = entry.plan
+    else:
+        entry.plan = list(units)
+    return run_slot(
+        entry.sigma, _restore_unit_payloads(units, unit_payloads),
+        entry.materialiser, entry.match_store, faults=faults,
+        progress=progress,
+    )
 
 
-def _pack_result_payloads(
-    results: List["UnitResult"],
-) -> Optional[bytes]:
-    """Strip result payloads into one packed blob for the reply.
+def _pack_results(results: List["UnitResult"]) -> Tuple:
+    """One slot's results as the columns of its reply.
 
-    Mirror of :func:`_restore_unit_payloads` for the worker→coordinator
-    direction: the payload tuple is serialised exactly once, its length
-    is the accounting, and the results travel payload-free.  Returns
-    ``None`` when no result carries one.
+    Per unit only ``steps`` and ``enumerated`` travel, plus the violation
+    sets left non-empty by per-group folding (one per group carrier);
+    ``block_size`` is the unit's own, which the coordinator holds.  The
+    payloads travel as one blob, serialised exactly once and measured
+    from its length (``None`` when no result carries one) — the mirror
+    of :func:`_restore_unit_payloads`.  A few flat columns pickle, and
+    unpickle, in a fraction of the time one object per unit takes.
     """
     payloads = tuple(result.payload for result in results)
-    if not any(payload is not None for payload in payloads):
-        return None
-    blob = pack_shard(payloads)
-    for result in results:
-        result.payload = None
-    return blob
+    return (
+        tuple(result.steps for result in results),
+        bytes(result.enumerated for result in results),
+        tuple(
+            (pos, result.violations)
+            for pos, result in enumerate(results)
+            if result.violations
+        ),
+        pack_shard(payloads)
+        if any(payload is not None for payload in payloads) else None,
+    )
+
+
+def _unpack_results(
+    units: Sequence[WorkUnit], columns: Tuple
+) -> List["UnitResult"]:
+    """Coordinator-side inverse of :func:`_pack_results`."""
+    from .engine import UnitResult
+
+    steps, enumerated, violations, payloads_blob = columns
+    results = [
+        UnitResult(
+            violations=set(), steps=unit_steps, block_size=unit.block_size,
+            enumerated=bool(flag),
+        )
+        for unit, unit_steps, flag in zip(units, steps, enumerated)
+    ]
+    for pos, unit_violations in violations:
+        results[pos].violations = unit_violations
+    if payloads_blob is not None:
+        for result, payload in zip(results, unpack_shard(payloads_blob)):
+            result.payload = payload
+    return results
 
 
 def _heartbeat_loop(
@@ -1228,14 +1302,16 @@ def _persistent_worker_main(
         beat.start()
         try:
             replies = []
-            for slot, mode, payload, units, unit_payloads in tasks:
+            for slot, mode, payload, plan_blob, unit_payloads in tasks:
+                units = (
+                    unpack_shard(plan_blob) if plan_blob is not None
+                    else None
+                )
                 slot_results = _run_slot(
                     cache, slot, mode, payload, units, unit_payloads,
                     faults=faults, progress=progress,
                 )
-                replies.append(
-                    (slot, slot_results, _pack_result_payloads(slot_results))
-                )
+                replies.append((slot, _pack_results(slot_results)))
             # Per-batch match-store and block-cache slices, summed over
             # this worker's resident shards (untouched entries contribute
             # zeros) — the coordinator aggregates these into the run's
@@ -1316,47 +1392,34 @@ class SimulatedExecutor:
     ) -> List[List[Optional["UnitResult"]]]:
         """Execute every primary unit; replicas map to ``None``.
 
-        The slot-level payload passes (count-payload derivation, per-
-        group result folding) run here too, so simulated and process
-        backends consume and produce identically-shaped unit payloads.
+        Each slot runs through the engine's one slot loop
+        (:func:`~repro.parallel.engine.run_slot`), the same one a worker
+        process runs, so both backends consume and produce
+        identically-shaped unit payloads.
         """
-        from .engine import (
-            BlockMaterialiser,
-            consolidate_slot_results,
-            execute_unit,
-            expand_count_payloads,
-        )
+        from .engine import BlockMaterialiser, run_slot
 
         materialiser = self.materialiser
         if materialiser is None:
             materialiser = BlockMaterialiser(graph)
-        results: List[List[Optional["UnitResult"]]] = []
-        for worker_units in plan:
-            worker_units = expand_count_payloads(worker_units)
-            slot_results = [
-                execute_unit(
-                    sigma, graph, unit, materialiser,
-                    match_store=self.match_store,
-                )
-                if unit.primary
-                else None
-                for unit in worker_units
-            ]
-            consolidate_slot_results(worker_units, slot_results)
-            results.append(slot_results)
-        return results
+        return [
+            run_slot(sigma, worker_units, materialiser, self.match_store)
+            for worker_units in plan
+        ]
 
 
 @dataclass
 class _BatchState:
     """One batch of tasks bound for one pool worker, plus its liveness.
 
-    ``tasks`` are ``(slot, mode, payload, units, inputs_blob)`` tuples
-    (the worker protocol's batch entries).  ``attempts`` counts how
-    often this batch has been requeued after a fault; ``progress`` /
-    ``progress_at`` track the worker's reported per-batch unit counter
-    (for the ``unit_deadline``), ``last_signal`` the last heartbeat or
-    arming (for the missed-heartbeat stall detector).  Those clocks
+    ``tasks`` are ``(slot, mode, payload, plan_blob, inputs_blob)``
+    tuples (the worker protocol's batch entries; ``plan_blob`` is
+    ``None`` when the slot runs the plan it already holds).
+    ``attempts`` counts how often this batch has been requeued after a
+    fault; ``progress`` / ``progress_at`` track the worker's reported
+    per-batch unit counter (for the ``unit_deadline``), ``last_signal``
+    the last heartbeat or arming (for the missed-heartbeat stall
+    detector).  Those clocks
     only start ticking once the batch is sent *and* its worker process
     has reported ``ready`` (:meth:`arm`) — a batch queued behind another
     on the same worker is not "running", and neither is one waiting for
@@ -1384,10 +1447,6 @@ class _BatchState:
         self.last_signal = now
         self.progress_at = now
         self.progress = -1
-
-    @property
-    def unit_count(self) -> int:
-        return sum(len(task[3]) for task in self.tasks)
 
 
 class _PersistentRun:
@@ -1430,6 +1489,7 @@ class _PersistentRun:
         sigma_key: Optional[object],
         stats: ShippingStats,
         policy: FaultPolicy,
+        plan_key: Optional[PlanKey] = None,
     ) -> None:
         self.pool = pool
         self.sigma = sigma
@@ -1439,6 +1499,11 @@ class _PersistentRun:
         self.shard_cache = shard_cache
         self.epoch = epoch
         self.sigma_key = sigma_key
+        self.plan_key = plan_key
+        #: per plan slot, the node set its shard must hold
+        self.needed = (
+            plan_key if plan_key is not None else PlanKey(primaries)
+        ).needed
         self.stats = stats
         self.policy = policy
         plan = policy.plan
@@ -1472,22 +1537,21 @@ class _PersistentRun:
         """Build plan slot ``worker``'s task: shard plan + payloads.
 
         This is the shipping decision (full / delta / reuse via the
-        :class:`ShardCache`, shm vs pickle via the ship mode) plus the
-        serialise-once accounting; recovery calls it again when a
-        requeued slot needs its payload rebuilt from scratch.
+        :class:`ShardCache`, shm vs pickle via the ship mode, units or
+        the slot's resident plan) plus the serialise-once accounting;
+        recovery calls it again when a requeued slot needs its payload
+        rebuilt from scratch.
         """
         stats = self.stats
-        needed: Set = set()
-        for unit in self.primaries[worker]:
-            needed |= unit.block_nodes
+        needed = self.needed[worker]
         if self.shard_cache is None:
-            mode, data, ship_sigma = (
-                "full", self.graph.induced_subgraph(needed), False
+            mode, data, ship_sigma, ship_plan = (
+                "full", self.graph.induced_subgraph(needed), False, True
             )
         else:
-            mode, data, ship_sigma = self.shard_cache.plan(
+            mode, data, ship_sigma, ship_plan = self.shard_cache.plan(
                 worker, self.epoch, needed, self.graph,
-                sigma_key=self.sigma_key,
+                sigma_key=self.sigma_key, plan_key=self.plan_key,
             )
         if ship_sigma or mode == "full":
             if self._sigma_blob is None:
@@ -1542,7 +1606,17 @@ class _PersistentRun:
             ]
         else:
             inputs_blob = None
-        return (worker, mode, payload, units, inputs_blob)
+        if ship_plan:
+            # the slot's units, serialised once and measured like every
+            # other shipped category
+            plan_blob = pack_shard(units)
+            stats.plan_bytes += len(plan_blob)
+        else:
+            plan_blob = None
+        return (worker, mode, payload, plan_blob, inputs_blob)
+
+    def _unit_count(self, batch: _BatchState) -> int:
+        return sum(len(self.primaries[task[0]]) for task in batch.tasks)
 
     def _requeue_tasks(self, tasks: List[Tuple]) -> List[Tuple]:
         """Re-shippable versions of a dead worker's tasks.
@@ -1753,7 +1827,7 @@ class _PersistentRun:
                 time.sleep(self.policy.retry_wait(head.attempts))
             for batch in batches:
                 batch.tasks = self._requeue_tasks(batch.tasks)
-                faults.retried_units += batch.unit_count
+                faults.retried_units += self._unit_count(batch)
                 self._dispatch(index, batch)
             return
         # Respawn failed: degrade — retire the slot and reroute its
@@ -1780,7 +1854,7 @@ class _PersistentRun:
                 )
         for target, tasks in rerouted.items():
             batch = _BatchState(tasks=tasks, attempts=attempts)
-            faults.retried_units += batch.unit_count
+            faults.retried_units += self._unit_count(batch)
             self._dispatch(target, batch)
 
 
@@ -2052,6 +2126,7 @@ class MultiprocessExecutor:
         epoch: Optional[str] = None,
         sigma_key: Optional[object] = None,
         fault_policy: Optional[FaultPolicy] = None,
+        plan_key: Optional[PlanKey] = None,
     ) -> List[List[Optional["UnitResult"]]]:
         """Execute every primary unit in worker processes.
 
@@ -2063,7 +2138,9 @@ class MultiprocessExecutor:
         executor starts a pool of ``min(processes or busy, busy)``
         workers for this run alone and shuts it down afterwards.
         ``sigma_key`` identifies the rule set so a warm slot reships Σ —
-        and only Σ — when it changed since the slot's last run.
+        and only Σ — when it changed since the slot's last run;
+        ``plan_key`` (a :class:`PlanKey`) likewise identifies ``plan``,
+        so a warm slot that holds it is sent no units.
         ``fault_policy`` overrides the executor's supervision knobs for
         this run (see the module docstring's "Fault tolerance").
         """
@@ -2081,7 +2158,7 @@ class MultiprocessExecutor:
         try:
             results = self._run_persistent(
                 sigma, graph, primaries, busy, shard_cache, epoch,
-                sigma_key, policy,
+                sigma_key, policy, plan_key,
             )
         finally:
             if temporary:
@@ -2107,6 +2184,7 @@ class MultiprocessExecutor:
         epoch: Optional[str],
         sigma_key: Optional[object] = None,
         policy: Optional[FaultPolicy] = None,
+        plan_key: Optional[PlanKey] = None,
     ) -> Dict[int, List["UnitResult"]]:
         from .engine import MaterialiserStats
 
@@ -2126,7 +2204,7 @@ class MultiprocessExecutor:
         # fail-stop path did, so the next run restarts cold.
         run = _PersistentRun(
             self, sigma, graph, primaries, busy, shard_cache, epoch,
-            sigma_key, stats, policy,
+            sigma_key, stats, policy, plan_key,
         )
         replies = run.execute()
         results: Dict[int, List["UnitResult"]] = {}
@@ -2135,17 +2213,13 @@ class MultiprocessExecutor:
             stats.block_cache.merge(cache_stats)
             stats.gc_full_collections += gc_stats[0]
             stats.gc_pause_max = max(stats.gc_pause_max, gc_stats[1])
-            for slot, slot_results, payloads_blob in pairs:
-                results[slot] = slot_results
+            for slot, columns in pairs:
+                results[slot] = _unpack_results(primaries[slot], columns)
                 stats.worker_pids[slot] = pid
+                payloads_blob = columns[3]
                 if payloads_blob is not None:
-                    # Result payloads arrive as the one blob the worker
-                    # serialised (and we measure): reattach in place.
+                    # the one blob the worker serialised, and we measure
                     stats.payload_bytes += len(payloads_blob)
-                    for result, payload in zip(
-                        slot_results, unpack_shard(payloads_blob)
-                    ):
-                        result.payload = payload
         self.last_shipping = stats
         return results
 
@@ -2164,6 +2238,7 @@ def execute_plan(
     match_store: Optional[MatchStore] = None,
     ship_mode: str = "auto",
     fault_policy: Optional[FaultPolicy] = None,
+    plan_key: Optional[PlanKey] = None,
 ) -> List[List[Optional["UnitResult"]]]:
     """Execute a plan's primary units with the chosen backend.
 
@@ -2177,7 +2252,8 @@ def execute_plan(
     :class:`MultiprocessExecutor` (a session's long-lived pool) for the
     process backend — without one, a temporary pool serves this run;
     ``shard_cache``/``epoch`` enable warm shard shipping on a started
-    pool.  ``ship_mode`` selects how an *ad-hoc* pool ships
+    pool, and ``plan_key`` lets a warm slot run the plan it already
+    holds.  ``ship_mode`` selects how an *ad-hoc* pool ships
     full shards (see :data:`SHIP_MODES`); a caller-owned ``pool`` keeps
     the mode it was constructed with.  ``fault_policy`` sets this run's
     supervision knobs (see the module docstring's "Fault tolerance");
@@ -2195,5 +2271,5 @@ def execute_plan(
     return backend.run(
         sigma, graph, plan,
         shard_cache=shard_cache, epoch=epoch, sigma_key=sigma_key,
-        fault_policy=fault_policy,
+        fault_policy=fault_policy, plan_key=plan_key,
     )

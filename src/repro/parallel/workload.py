@@ -143,13 +143,20 @@ def estimate_workload(
         groups = singleton_groups(sigma)
     units: List[WorkUnit] = []
     estimation_sizes: List[float] = []
+    # Units naming the same block share one node-set object, so block
+    # cache lookups match by identity instead of comparing whole sets,
+    # and a pickled plan carries each block once.
+    blocks: Dict[frozenset, Tuple[frozenset, int]] = {}
 
     for group in groups:
         leader = sigma[group.leader_index]
         pivot = leader.pivot
         for assignment in pivot_candidates(graph, leader.pattern, pivot):
             nodes = frozenset(block_of(graph, pivot, assignment))
-            size = block_size_of(graph, nodes)
+            known = blocks.get(nodes)
+            if known is None:
+                known = blocks[nodes] = (nodes, block_size_of(graph, nodes))
+            nodes, size = known
             estimation_sizes.append(size)
             fragment_sizes: Dict[int, int] = {}
             if fragmentation is not None:

@@ -34,9 +34,12 @@ class GraphPattern:
         q.add_edge("x", "z", "capital")
     """
 
-    __slots__ = ("_labels", "_out", "_in", "_order", "_num_edges", "_sig")
+    __slots__ = (
+        "_labels", "_out", "_in", "_order", "_num_edges", "_sig", "_hash",
+    )
 
-    #: the slots a pickle carries (``_sig`` is derived, never shipped)
+    #: the slots a pickle carries (``_sig``/``_hash`` are derived, never
+    #: shipped)
     _STATE = ("_labels", "_out", "_in", "_order", "_num_edges")
 
     def __init__(self) -> None:
@@ -46,8 +49,9 @@ class GraphPattern:
         #: insertion order of variables = the list x̄
         self._order: List[Variable] = []
         self._num_edges = 0
-        #: cached :meth:`signature`; reset by every mutation
+        #: cached :meth:`signature` and its hash; reset by every mutation
         self._sig: Optional[Tuple] = None
+        self._hash: Optional[int] = None
 
     def __getstate__(self):
         return (None, {slot: getattr(self, slot) for slot in self._STATE})
@@ -56,6 +60,7 @@ class GraphPattern:
         for slot, value in state[1].items():
             setattr(self, slot, value)
         self._sig = None
+        self._hash = None
 
     # ------------------------------------------------------------------
     # construction
@@ -77,7 +82,7 @@ class GraphPattern:
         self._out[variable] = []
         self._in[variable] = []
         self._order.append(variable)
-        self._sig = None
+        self._sig = self._hash = None
         return variable
 
     def add_edge(self, src: Variable, dst: Variable, label: str = WILDCARD) -> None:
@@ -91,7 +96,7 @@ class GraphPattern:
         self._out[src].append((dst, label))
         self._in[dst].append((src, label))
         self._num_edges += 1
-        self._sig = None
+        self._sig = self._hash = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -237,7 +242,12 @@ class GraphPattern:
         return self.signature() == other.signature()
 
     def __hash__(self) -> int:
-        return hash(self.signature())
+        # Matcher tables and match stores hash the leader pattern once
+        # per work unit; the nested signature tuple is hashed only once.
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self.signature())
+        return value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = [f"{v}:{self._labels[v]}" for v in self._order]

@@ -23,11 +23,14 @@ amortises it across calls:
   materialised blocks (with per-run stats so cluster reports stay
   comparable, see :meth:`~repro.parallel.engine.BlockMaterialiser.
   take_stats`);
-* a **workload cache** — ``W(Σ, G)`` is recomputed only when the graph's
-  structural version (or the fragmentation) changes; the simulated
-  planning costs are still charged in full, so warm and cold runs report
-  identical :class:`~repro.parallel.cluster.ClusterReport`s — wall-clock
-  is what warmth buys, not different figures;
+* a **workload and plan cache** — ``W(Σ, G)`` is recomputed only when
+  the graph's structural version (or the fragmentation) changes, and a
+  replicated run's split, partitioned plan only when that or its
+  options change or an update lands; the simulated planning costs are
+  still charged in full, so warm and cold runs report identical
+  :class:`~repro.parallel.cluster.ClusterReport`s — wall-clock is what
+  warmth buys, not different figures.  Worker slots keep the cached
+  plan's units resident, so a repeated validate ships no units;
 * **delta-maintained violations** — :meth:`update` routes graph
   mutations through :class:`~repro.core.incremental.IncrementalValidator`
   (on the delta-maintained snapshot backend), reconciling the maintained
@@ -103,6 +106,7 @@ from .parallel.executors import (
     MatchStore,
     MatchStoreStats,
     MultiprocessExecutor,
+    PlanKey,
     ShardCache,
     ShippingStats,
     check_process_knobs,
@@ -266,9 +270,15 @@ class ValidationSession:
         self._shard_cache = ShardCache()
         self._materialiser: Optional[BlockMaterialiser] = None
         self._materialiser_version = -1
+        # the rule set the shared materialiser last served (Σ swaps keep
+        # the matchers of the outgoing and the incoming Σ only)
+        self._materialiser_sigma: Optional[Sequence[GFD]] = None
         self._match_store: Optional[MatchStore] = None
         self._match_store_version = -1
         self._units_cache: Dict[Tuple, List[WorkUnit]] = {}
+        # (unit count, plan, plan key) per replicated validate's options
+        # and graph version; dropped by every update
+        self._plan_cache: Dict[Tuple, Tuple[int, List, PlanKey]] = {}
         # (patterns, probes, groups, units) per mining parameterisation —
         # warm repeated discover() calls reuse pattern objects and the
         # estimated workload exactly like _units_cache does for Σ.
@@ -303,8 +313,10 @@ class ValidationSession:
             self._pool = None
         self._shard_cache.invalidate()
         self._materialiser = None
+        self._materialiser_sigma = None
         self._match_store = None
         self._units_cache.clear()
+        self._plan_cache.clear()
         self._mining_cache.clear()
 
     def worker_pids(self) -> List[int]:
@@ -429,6 +441,8 @@ class ValidationSession:
             self._incremental.rebuild()
         diff = UpdateDiff()
         applied = 0
+        # the next validate re-plans, so worker slots are re-sent units
+        self._plan_cache.clear()
         try:
             for op in ops:
                 diff = diff.then(self._incremental.apply(op))
@@ -556,7 +570,7 @@ class ValidationSession:
             cluster.charge_partitioning(len(units))
             resolved = resolve_executor(executor, plan, processes)
             materialiser = (
-                self._shared_materialiser() if resolved == "simulated"
+                self._shared_materialiser(probes) if resolved == "simulated"
                 else None
             )
         else:
@@ -568,7 +582,7 @@ class ValidationSession:
                 * math.log2(w + 1)
             )
             resolved = resolve_executor(executor, plan, processes)
-            materialiser = self._shared_materialiser()
+            materialiser = self._shared_materialiser(probes)
             _charge_data_shipment(
                 probes, fragmentation, plan, cluster, materialiser
             )
@@ -890,6 +904,8 @@ class ValidationSession:
         ]
         confirm_key = ("sigma:mined", probe_key, tuple(mined))
         phase_started = time.perf_counter()
+        if backend["materialiser"] is not None:
+            self._shared_materialiser(confirm_sigma)  # the Σ swap
         cluster = SimulatedCluster(workers, self.cost_model)
         results = run_units(
             confirm_sigma, self.graph, confirm_plan, cluster,
@@ -954,14 +970,18 @@ class ValidationSession:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _shared_materialiser(self) -> BlockMaterialiser:
-        """The session-wide block cache, guarded by the graph version.
+    def _shared_materialiser(self, sigma: Sequence[GFD]) -> BlockMaterialiser:
+        """The session-wide block cache serving rule set ``sigma``.
 
-        Out-of-band *structural* mutations (not routed through
-        :meth:`update`) drop every cached block, mirroring what
-        ``ShardCache.sync`` does for worker shards — warm state is never
-        trusted past a version the session did not witness.  (Attribute
-        edits don't bump the version and must go through :meth:`update`.)
+        Guarded by the graph version: out-of-band *structural* mutations
+        (not routed through :meth:`update`) drop every cached block,
+        mirroring what ``ShardCache.sync`` does for worker shards — warm
+        state is never trusted past a version the session did not
+        witness.  (Attribute edits don't bump the version and must go
+        through :meth:`update`.)  A rule-set change applies a worker
+        slot's Σ-swap rule (``_ResidentShard.swap_sigma``): the matchers
+        of the outgoing and the incoming Σ stay, older ones go, so
+        varied discovers cannot pile matchers up.
         """
         if self._materialiser is None:
             self._materialiser = BlockMaterialiser(self.graph)
@@ -969,6 +989,13 @@ class ValidationSession:
         elif self._materialiser_version != self.graph._version:
             self._materialiser.clear()
             self._materialiser_version = self.graph._version
+        previous = self._materialiser_sigma
+        if sigma is not previous:
+            if previous is not None:
+                self._materialiser.keep_matchers(
+                    {gfd.pattern for gfd in (*previous, *sigma)}
+                )
+            self._materialiser_sigma = sigma
         return self._materialiser
 
     def _shared_match_store(self) -> MatchStore:
@@ -1066,6 +1093,37 @@ class ValidationSession:
             units = split_oversized(units, threshold)
         return units
 
+    def _replicated_plan(
+        self, units, n, assignment, optimize, split_threshold, seed,
+    ) -> Tuple[int, List, PlanKey]:
+        """The split, partitioned plan: ``(unit count, plan, plan key)``.
+
+        Cached per graph version and run options, and dropped by every
+        :meth:`update`, so a repeated validate re-plans nothing and its
+        :class:`~repro.parallel.executors.PlanKey` lets warm worker
+        slots run the units they already hold.
+        """
+        key = (
+            self.graph._version, n, assignment, optimize, split_threshold,
+            seed,
+        )
+        entry = self._plan_cache.get(key)
+        if entry is None:
+            units = self._split(units, optimize, split_threshold)
+            if assignment == "balanced":
+                plan, _ = lpt_partition(units, n)
+            elif assignment == "random":
+                plan, _ = random_partition(units, n, seed=seed)
+            else:
+                raise ValueError(
+                    f"unknown assignment strategy {assignment!r}"
+                )
+            entry = (len(units), plan, PlanKey(plan))
+            self._plan_cache[key] = entry
+            while len(self._plan_cache) > 4:
+                self._plan_cache.pop(next(iter(self._plan_cache)))
+        return entry
+
     def _validate_replicated(
         self, n, assignment, optimize, split_threshold, seed, executor,
         processes,
@@ -1073,19 +1131,15 @@ class ValidationSession:
         graph = self.graph
         cluster = SimulatedCluster(n, self.cost_model)
         units = self._units(cluster, optimize)
-        units = self._split(units, optimize, split_threshold)
-
-        if assignment == "balanced":
-            plan, _ = lpt_partition(units, n)
-        elif assignment == "random":
-            plan, _ = random_partition(units, n, seed=seed)
-        else:
-            raise ValueError(f"unknown assignment strategy {assignment!r}")
-        cluster.charge_partitioning(len(units))
+        num_units, plan, plan_key = self._replicated_plan(
+            units, n, assignment, optimize, split_threshold, seed
+        )
+        cluster.charge_partitioning(num_units)
 
         resolved = resolve_executor(executor, plan, processes)
         materialiser = (
-            self._shared_materialiser() if resolved == "simulated" else None
+            self._shared_materialiser(self.sigma)
+            if resolved == "simulated" else None
         )
         pool, shard_cache, epoch = self._process_backend(resolved, processes)
         violations = run_assignment(
@@ -1102,11 +1156,12 @@ class ValidationSession:
             sigma_key=_BASE_SIGMA_KEY,
             ship_mode=self.ship_mode,
             fault_policy=self.fault_policy,
+            plan_key=plan_key,
         )
         return ValidationRun(
             violations=violations,
             report=cluster.report(),
-            num_units=len(units),
+            num_units=num_units,
             algorithm=_rep_name(assignment, optimize),
             executor=resolved,
             shipping=pool.last_shipping if pool is not None else None,
@@ -1178,7 +1233,7 @@ class ValidationSession:
         resolved = resolve_executor(executor, plan, processes)
         # One materialiser for both the shipment estimate and detection,
         # shared across the session's runs (warm blocks, per-run stats).
-        materialiser = self._shared_materialiser()
+        materialiser = self._shared_materialiser(self.sigma)
         _charge_data_shipment(
             self.sigma, fragmentation, plan, cluster, materialiser
         )

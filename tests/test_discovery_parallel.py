@@ -328,6 +328,51 @@ class TestMatcherRetention:
             assert retained() <= allowed, step
         assert dropped  # older rule sets' matchers did go
 
+    def test_simulated_varied_discovers_keep_two_rule_sets_of_matchers(
+        self, workloads
+    ):
+        """The simulated twin: the session's own block cache serves
+        every rule set a simulated session runs, and applies the slots'
+        Σ-swap rule, so varied discovers do not pile matchers up."""
+        graph = workloads[7][0]
+        sigma = generate_gfds(graph, count=3, pattern_edges=1, seed=7)
+
+        def patterns(edges, top):
+            return {
+                gfd.pattern for gfd in probe_gfds(
+                    candidate_patterns(graph, max_edges=edges, top_edges=top)
+                )
+            }
+
+        with ValidationSession(graph, sigma, executor="simulated") as session:
+
+            def retained():
+                return {
+                    pattern
+                    for _, matchers in session._materialiser._cache.values()
+                    for pattern in matchers
+                }
+
+            session.validate(n=2)
+            previous = {gfd.pattern for gfd in sigma}
+            dropped = set()
+            for edges, top in ((2, 5), (1, 2), (1, 3), (2, 3), (1, 7)):
+                before = retained()
+                run = session.discover(
+                    n=2, max_edges=edges, top_edges=top, **PARAMS
+                )
+                current = patterns(edges, top)
+                dropped |= before - retained()
+                assert retained() <= current | previous, (edges, top)
+                assert [mined_key(d) for d in run.rules] == [
+                    mined_key(d) for d in discover_gfds(
+                        graph, max_edges=edges, top_edges=top, **PARAMS
+                    )
+                ]
+                previous = current
+            assert session.validate(n=2).violations == det_vio(sigma, graph)
+        assert dropped  # older rule sets' matchers did go
+
 
 class TestSimulatedDiscoveryDifferential:
     @pytest.mark.parametrize("seed", SEEDS)

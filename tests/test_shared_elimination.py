@@ -25,6 +25,7 @@ from repro.parallel import estimate_workload, execute_unit
 from repro.parallel.engine import (
     BlockMaterialiser,
     _factorised_count,
+    _Group,
     _sparse_tallies,
 )
 from repro.parallel.multiquery import build_shared_groups
@@ -156,7 +157,8 @@ def test_shared_elimination_charges_and_tallies_like_standalone(seed):
     supported = 0
     for unit in units:
         shared = _factorised_count(
-            sigma, unit, materialiser, unit.payload, strict=True
+            _Group(sigma, unit.group), unit, materialiser, unit.payload,
+            strict=True,
         )
         payload, steps = _standalone(sigma, unit, materialiser)
         assert shared.payload == payload
@@ -191,7 +193,10 @@ def test_elimination_is_shared_across_members_and_pair_tables(monkeypatch):
         return original(self, quotient, cand, ops)
 
     monkeypatch.setattr(FactorisedPlan, "_component_roots", counted)
-    _factorised_count(sigma, unit, materialiser, unit.payload, strict=True)
+    _factorised_count(
+        _Group(sigma, unit.group), unit, materialiser, unit.payload,
+        strict=True,
+    )
     leader = sigma[unit.group.leader_index]
     pins = sum(
         matcher._pin_indices(pinned) is not _NO_MATCH
