@@ -21,7 +21,7 @@ Determinism contract
 
 The mined rule set (rules, names, supports, confidences) depends only on
 the graph and the discovery parameters — never on match enumeration
-order, matcher backend, or execution backend:
+order, evaluation mode, or execution backend:
 
 * evidence for dependency proposal is either *every* match (the default)
   or an explicit seeded sample drawn from the canonically-ordered match
@@ -360,9 +360,8 @@ def candidate_dependencies(
     Evidence is every match by default; ``sample_size`` makes the sample
     explicit and ``seed`` makes it reproducible — the sample is drawn
     from the canonically-ordered match list, so the proposed (and hence
-    mined) rule set never depends on enumeration order or backend.  (The
-    old implicit ``matches[:200]`` prefix did, and could differ between
-    backends.)
+    mined) rule set never depends on enumeration order.  (The old
+    implicit ``matches[:200]`` prefix did.)
 
     The evidence is folded through an :class:`EvidenceAggregate` — the
     same fold workers apply unit-locally in parallel mining — so
@@ -448,7 +447,6 @@ def discover_gfds(
     max_attrs: int = 4,
     sample_size: Optional[int] = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    backend: str = "auto",
     eval_mode: str = "auto",
 ) -> List[DiscoveredGFD]:
     """Mine GFDs from ``graph`` — the serial reference implementation.
@@ -461,9 +459,7 @@ def discover_gfds(
     bites, support and confidence describe the canonical subset only —
     a confidence-1.0 rule may still be violated by uncounted matches
     (:attr:`repro.session.DiscoveryRun.capped_rules` flags these on the
-    session path).  ``backend`` selects the matcher backend
-    (``auto``/``legacy``/``snapshot``) — pinned by tests to be
-    result-invisible.
+    session path).
 
     ``eval_mode`` selects how evidence and support/confidence tallies
     are computed (pinned by tests to be result-invisible too):
@@ -488,14 +484,14 @@ def discover_gfds(
     for pattern in candidate_patterns(
         graph, max_edges=max_edges, top_edges=top_edges
     ):
-        matcher = SubgraphMatcher(pattern, graph, backend=backend)
+        matcher = SubgraphMatcher(pattern, graph)
         plan = None
         if eval_mode != "enumerate" and sample_size is None:
             plan = matcher.factorised_plan()
             if plan is None and eval_mode == "factorised":
                 raise ValueError(
                     "eval_mode='factorised' but a candidate pattern does "
-                    "not factorise (cyclic structure or legacy backend)"
+                    "not factorise (cyclic structure)"
                 )
         if plan is not None:
             count, aggregate = matcher.evidence(eval_mode="factorised")

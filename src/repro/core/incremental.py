@@ -103,13 +103,11 @@ class IncrementalValidator:
     The graph object is shared — do not mutate it behind the validator's
     back, or call :meth:`rebuild` afterwards.
 
-    ``backend`` selects the matching backend for the update path.  The
-    default ``"auto"`` runs on the indexed :class:`GraphSnapshot`: since
-    snapshots became delta-maintained (``GraphSnapshot.apply_delta``),
-    re-indexing after an update costs ``O(|Δ| · deg)`` rather than
-    ``O(|G|)``, so the locality bound this class honours survives the
-    indexed backend.  ``"legacy"`` forces the original dict-of-dicts
-    walk (the differential suite pins both to identical violation sets).
+    The update path matches on the graph's indexed
+    :class:`GraphSnapshot`: snapshots are delta-maintained
+    (``GraphSnapshot.apply_delta``), so re-indexing after an update costs
+    ``O(|Δ| · deg)`` rather than ``O(|G|)`` and the locality bound this
+    class honours survives the index.
 
     ``violations`` seeds the maintained set when the caller has already
     computed ``Vio(Σ, G)`` for the *current* graph (e.g. a
@@ -121,24 +119,18 @@ class IncrementalValidator:
         self,
         sigma: Sequence[GFD],
         graph: PropertyGraph,
-        backend: str = "auto",
         violations: Optional[Set[Violation]] = None,
     ) -> None:
-        from ..matching.vf2 import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown matcher backend {backend!r}")
         self.sigma = list(sigma)
         names = [gfd.name or "gfd" for gfd in self.sigma]
         if len(set(names)) != len(names):
             # Stale-violation removal is keyed by GFD name.
             raise ValueError("incremental validation requires unique GFD names")
         self.graph = graph
-        self.backend = backend
         self.violations: Set[Violation] = (
             set(violations)
             if violations is not None
-            else det_vio(self.sigma, graph, backend=backend)
+            else det_vio(self.sigma, graph)
         )
         # Matchers are cached across updates: their candidate sets depend
         # only on labels and degrees, so attribute updates reuse them and
@@ -198,7 +190,7 @@ class IncrementalValidator:
     def rebuild(self) -> None:
         """Recompute from scratch (after out-of-band mutations)."""
         self._matchers.clear()
-        self.violations = det_vio(self.sigma, self.graph, backend=self.backend)
+        self.violations = det_vio(self.sigma, self.graph)
 
     def invalidate_matchers(self) -> None:
         """Drop cached matchers (their candidate sets went stale).
@@ -228,13 +220,11 @@ class IncrementalValidator:
         out: Set[Violation] = set()
         matcher = self._matchers.get(index)
         if matcher is None:
-            # With backend="auto" this resolves to the graph's cached
-            # snapshot, which apply_delta keeps current in O(|Δ| · deg)
-            # per update — matcher construction (candidate seeding over
-            # the warm index) is the only per-update rebuild cost.
-            matcher = SubgraphMatcher(
-                gfd.pattern, self.graph, backend=self.backend
-            )
+            # This resolves to the graph's cached snapshot, which
+            # apply_delta keeps current in O(|Δ| · deg) per update —
+            # matcher construction (candidate seeding over the warm
+            # index) is the only per-update rebuild cost.
+            matcher = SubgraphMatcher(gfd.pattern, self.graph)
             self._matchers[index] = matcher
         graph = self.graph
         for node in touched:

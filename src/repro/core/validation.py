@@ -66,17 +66,13 @@ def violations_of(
     graph: PropertyGraph,
     limit: Optional[int] = None,
     stats: Optional[MatchStats] = None,
-    backend: str = "auto",
 ) -> Iterator[Violation]:
     """Enumerate violations of a single GFD in ``graph``.
 
     A match violates when it satisfies ``X`` but not ``Y``; matching and
     the two literal checks follow Section 3's semantics exactly.
-    ``backend`` selects the matching backend (``"auto"`` shares the
-    graph's cached snapshot across the rule set; ``"legacy"`` forces the
-    dict-backed path — see :mod:`repro.graph.snapshot`).
     """
-    matcher = SubgraphMatcher(gfd.pattern, graph, backend=backend)
+    matcher = SubgraphMatcher(gfd.pattern, graph)
     emitted = 0
     for match in matcher.matches(stats=stats):
         if not match_satisfies_all(graph, match, gfd.lhs):
@@ -93,7 +89,6 @@ def det_vio(
     sigma: Sequence[GFD],
     graph: PropertyGraph,
     stats: Optional[MatchStats] = None,
-    backend: str = "auto",
 ) -> Set[Violation]:
     """The sequential algorithm ``detVio``: compute ``Vio(Σ, G)`` directly.
 
@@ -104,7 +99,7 @@ def det_vio(
     """
     out: Set[Violation] = set()
     for gfd in sigma:
-        out.update(violations_of(gfd, graph, stats=stats, backend=backend))
+        out.update(violations_of(gfd, graph, stats=stats))
     return out
 
 

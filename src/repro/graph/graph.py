@@ -303,7 +303,7 @@ class PropertyGraph:
         instead of rebuilding the whole index (see ``apply_delta`` for
         the honest per-op costs), which is what keeps
         :class:`~repro.core.incremental.IncrementalValidator`
-        on the indexed backend.  The returned object may therefore be the
+        on the index.  The returned object may therefore be the
         *same* (patched-in-place) snapshot as before the mutation: treat
         a held snapshot as a live view of the graph, and pickle-roundtrip
         it if a frozen copy is needed.  A full rebuild still happens when

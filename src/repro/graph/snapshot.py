@@ -1,5 +1,5 @@
-"""Immutable compact index over a :class:`PropertyGraph` — the fast
-matching backend.
+"""Compact index over a :class:`PropertyGraph` — what subgraph matching
+runs on.
 
 A :class:`GraphSnapshot` re-encodes a property graph into integer-interned,
 CSR-style structures so the subgraph-matching hot path (candidate seeding,
@@ -18,20 +18,17 @@ Set[str]]]`` walks:
   label triple to the nodes that actually participate in such an edge,
   seeding candidate sets far tighter than the label index alone.
 
-Backend-selection rule
-----------------------
+Who runs on it
+--------------
 
 :class:`~repro.matching.vf2.SubgraphMatcher` and
 :func:`~repro.matching.candidates.compute_candidates` accept either a
-:class:`PropertyGraph` or a :class:`GraphSnapshot`:
-
-* passing a snapshot (or a graph with ``backend="snapshot"``/the default
-  ``"auto"``) runs the indexed path;
-* ``backend="legacy"`` forces the original dict-of-dicts path — used by
-  :class:`~repro.core.incremental.IncrementalValidator` after structural
-  updates, where rebuilding a whole-graph snapshot per update would cost
-  ``O(|G|)`` and defeat the locality argument, and by the differential
-  test harness that locks the two paths together.
+:class:`PropertyGraph` or a :class:`GraphSnapshot`; a graph resolves to
+its cached ``graph.snapshot()``, so every matching path — validation,
+discovery, the parallel engine's data blocks and
+:class:`~repro.core.incremental.IncrementalValidator` after updates —
+runs on this index.  The original dict-of-dicts walk survives only as
+the reference the differential tests compare against (``tests/oracle``).
 
 When snapshots are rebuilt (and when they are patched)
 ------------------------------------------------------

@@ -1,12 +1,7 @@
 """Subgraph isomorphism matching: candidate filtering, the VF2-style
 backtracking enumerator, and pivoted local matching over data blocks."""
 
-from .candidates import (
-    compute_candidate_indices,
-    compute_candidates,
-    degree_filter,
-    label_candidates,
-)
+from .candidates import compute_candidate_indices, compute_candidates
 from .factorised import EVAL_MODES, FactorisedPlan, build_plan
 from .vf2 import (
     Match,
@@ -31,8 +26,6 @@ __all__ = [
     "build_plan",
     "compute_candidate_indices",
     "compute_candidates",
-    "degree_filter",
-    "label_candidates",
     "Match",
     "MatchStats",
     "SubgraphMatcher",

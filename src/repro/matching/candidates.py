@@ -6,94 +6,24 @@ variable's pattern edges.  Tight candidate sets are what make matching
 feasible on the benchmark graphs — label filtering alone typically shrinks
 the search space by two to three orders of magnitude.
 
-Two backends share the same contract (see :mod:`repro.graph.snapshot`):
-
-* the legacy path walks the :class:`PropertyGraph` dict-of-dicts and
-  re-counts neighbour labels per candidate;
-* the indexed path runs over a :class:`GraphSnapshot` — label-pair-index
-  seeding plus precomputed neighbour-label histograms — and never touches
-  an adjacency dict.  It returns candidate sets that are subsets of the
-  legacy ones; both yield identical match sets downstream.
+Filtering runs over a :class:`GraphSnapshot` — label-pair-index seeding
+plus precomputed neighbour-label histograms — and never touches an
+adjacency dict.  The differential suite checks that its candidate sets are
+subsets of the plain label-and-degree filter of the dict-of-dicts
+reference walk in ``tests/oracle``, and that both yield identical match
+sets downstream.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..graph.graph import NodeId, PropertyGraph, WILDCARD
 from ..graph.snapshot import ABSENT_CODE, GraphSnapshot
 from ..pattern.pattern import GraphPattern, Variable
 
 
-def label_candidates(
-    pattern: GraphPattern, graph: PropertyGraph
-) -> Dict[Variable, AbstractSet[NodeId]]:
-    """Label-compatible candidates per pattern variable.
-
-    Wildcard variables share one frozen all-nodes set (materialised at most
-    once); labelled variables get fresh mutable sets.
-    """
-    out: Dict[Variable, AbstractSet[NodeId]] = {}
-    all_nodes: Optional[FrozenSet[NodeId]] = None  # lazily materialised
-    for var in pattern.nodes():
-        label = pattern.label(var)
-        if label == WILDCARD:
-            if all_nodes is None:
-                all_nodes = frozenset(graph.nodes())
-            out[var] = all_nodes
-        else:
-            out[var] = set(graph.nodes_with_label(label))
-    return out
-
-
-def degree_filter(
-    pattern: GraphPattern,
-    graph: PropertyGraph,
-    candidates: Dict[Variable, AbstractSet[NodeId]],
-) -> Dict[Variable, Set[NodeId]]:
-    """Drop candidates that cannot cover a variable's labelled edges.
-
-    A node survives for variable ``u`` only if, for every outgoing edge
-    label ``l`` of ``u`` (counted with multiplicity), it has at least that
-    many outgoing edges with a compatible label; symmetrically for incoming
-    edges.  Wildcard pattern edges count against total degree.
-    """
-    filtered: Dict[Variable, Set[NodeId]] = {}
-    for var, cand in candidates.items():
-        out_need = Counter(elabel for _, elabel in pattern.out_edges(var))
-        in_need = Counter(elabel for _, elabel in pattern.in_edges(var))
-        keep: Set[NodeId] = set()
-        for node in cand:
-            if _covers(graph.out_neighbors(node), out_need) and _covers(
-                graph.in_neighbors(node), in_need
-            ):
-                keep.add(node)
-        filtered[var] = keep
-    return filtered
-
-
-def _covers(neighbors: Dict[NodeId, Set[str]], need: Counter) -> bool:
-    if not need:
-        return True
-    have: Counter = Counter()
-    total = 0
-    for labels in neighbors.values():
-        for label in labels:
-            have[label] += 1
-            total += 1
-    for label, count in need.items():
-        if label == WILDCARD:
-            if total < sum(need.values()):
-                return False
-        elif have.get(label, 0) < count:
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# indexed backend (GraphSnapshot, index space)
-# ----------------------------------------------------------------------
 def compute_candidate_indices(
     pattern: GraphPattern, snap: GraphSnapshot
 ) -> Dict[Variable, Set[int]]:
@@ -106,8 +36,10 @@ def compute_candidate_indices(
        label, edge label, and target label are all concrete, candidates
        must actually participate in such a graph edge;
     3. histogram degree filtering against the precomputed per-node
-       neighbour-label histograms (same semantics as :func:`degree_filter`
-       but with no per-candidate adjacency scan).
+       neighbour-label histograms: for every outgoing edge label ``l``
+       of the variable (counted with multiplicity) a node needs at least
+       that many outgoing ``l``-edges, symmetrically for incoming edges,
+       and wildcard pattern edges count against total degree.
     """
     cand: Dict[Variable, Set[int]] = {}
     all_idx: Optional[range] = None
@@ -175,8 +107,7 @@ def _need_codes(
             return None
         concrete[code] += 1
     wildcards = total - sum(concrete.values())
-    # Mirror _covers: the total-degree bound applies only when a wildcard
-    # edge is present.
+    # The total-degree bound applies only when a wildcard edge is present.
     return (list(concrete.items()), total if wildcards else 0)
 
 
@@ -195,15 +126,14 @@ def _hist_covers(
 def compute_candidates(
     pattern: GraphPattern, graph: Union[PropertyGraph, GraphSnapshot]
 ) -> Dict[Variable, Set[NodeId]]:
-    """Filtered candidate sets (the matcher's starting point).
+    """Filtered candidate sets in original-id space (the matcher's
+    starting point): the id view of :func:`compute_candidate_indices`.
 
-    Accepts either backend; snapshot candidates are translated back to
-    original node ids so the contract is identical.
+    A :class:`PropertyGraph` resolves to its cached ``graph.snapshot()``.
     """
-    if isinstance(graph, GraphSnapshot):
-        ids = graph.node_ids
-        return {
-            var: {ids[idx] for idx in members}
-            for var, members in compute_candidate_indices(pattern, graph).items()
-        }
-    return degree_filter(pattern, graph, label_candidates(pattern, graph))
+    snap = graph if isinstance(graph, GraphSnapshot) else graph.snapshot()
+    ids = snap.node_ids
+    return {
+        var: {ids[idx] for idx in members}
+        for var, members in compute_candidate_indices(pattern, snap).items()
+    }

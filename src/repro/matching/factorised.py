@@ -765,7 +765,7 @@ def _profile_satisfies(values: Dict[Variable, Dict], literals) -> bool:
 
 def build_plan(
     pattern: GraphPattern,
-    snapshot: Optional[GraphSnapshot],
+    snapshot: GraphSnapshot,
     candidates: Dict[Variable, set],
 ) -> Optional[FactorisedPlan]:
     """Compile a :class:`FactorisedPlan`, or ``None`` if not factorisable.
@@ -777,13 +777,11 @@ def build_plan(
     per-variable restriction — so over-approximation never changes the
     result, it only costs work.
 
-    Rejected (→ enumeration): no snapshot (legacy backend), more than
-    :data:`MAX_VARS` variables, or any quotient with non-empty
-    candidates whose condensed graph is cyclic — including the trivial
-    case of a cyclic pattern itself (the identity partition).
+    Rejected (→ enumeration): more than :data:`MAX_VARS` variables, or
+    any quotient with non-empty candidates whose condensed graph is
+    cyclic — including the trivial case of a cyclic pattern itself (the
+    identity partition).
     """
-    if snapshot is None:
-        return None
     variables = pattern.variables
     if not variables or len(variables) > MAX_VARS:
         return None

@@ -19,18 +19,13 @@ adjacency rather than the global label index.  Disconnected patterns
 fall back to the label index when a fresh component starts, preserving
 completeness.
 
-Two interchangeable backends drive the search (see
-:mod:`repro.graph.snapshot` for the selection rules):
-
-* ``legacy`` — the original dict-of-dicts walk over a
-  :class:`PropertyGraph`;
-* ``snapshot`` — index-space search over a :class:`GraphSnapshot`:
-  candidates, frontiers, and edge checks all run on interned ints, and
-  matches are translated back to original node ids only when yielded.
-
-Both backends enumerate exactly the same match set (the differential
-harness in ``tests/test_matcher_differential.py`` locks this in); only
-the traversal cost differs.
+The search runs in index space over a :class:`GraphSnapshot`: candidates,
+frontiers, and edge checks all run on interned ints, and matches are
+translated back to original node ids only when yielded.  A
+:class:`PropertyGraph` argument resolves to its cached (delta-maintained)
+``graph.snapshot()``.  The differential suite
+(``tests/test_matcher_differential.py``) locks the enumerated match sets
+to the dict-of-dicts reference walk kept in ``tests/oracle``.
 """
 
 from __future__ import annotations
@@ -39,10 +34,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from ..graph.graph import NodeId, PropertyGraph, WILDCARD
+from ..graph.graph import NodeId, PropertyGraph
 from ..graph.snapshot import GraphSnapshot
 from ..pattern.pattern import GraphPattern, Variable
-from .candidates import compute_candidate_indices, compute_candidates
+from .candidates import compute_candidate_indices
 from .factorised import EVAL_MODES, FactorisedPlan, build_plan
 
 Match = Dict[Variable, NodeId]
@@ -51,19 +46,14 @@ Match = Dict[Variable, NodeId]
 #: ``None`` (no restriction at all) in the factorised query paths.
 _NO_MATCH = object()
 
-#: Accepted matcher backends: ``auto`` resolves a PropertyGraph to its
-#: cached snapshot; ``legacy``/``snapshot`` force one path.
-BACKENDS = ("auto", "legacy", "snapshot")
-
 
 @dataclass
 class MatchStats:
     """Search-effort counters, used by the cluster cost model.
 
     ``steps`` counts candidate extensions attempted — a deterministic,
-    machine-independent proxy for matching work.  The two backends may
-    report different ``steps`` for the same query (the indexed one prunes
-    earlier); ``matches`` is always identical.
+    machine-independent proxy for matching work; ``matches`` counts the
+    matches yielded.
     """
 
     steps: int = 0
@@ -77,56 +67,32 @@ class SubgraphMatcher:
     pivot variables) as many times as needed; candidate computation is done
     once at construction.
 
-    ``graph`` may be a :class:`PropertyGraph` or a :class:`GraphSnapshot`.
-    ``backend`` selects the search implementation: ``"auto"`` (default)
-    uses the graph's cached snapshot, ``"legacy"`` forces the dict-backed
-    path, ``"snapshot"`` forces the indexed path.
+    ``graph`` may be a :class:`PropertyGraph`, searched through its
+    cached ``graph.snapshot()``, or a :class:`GraphSnapshot`, used as
+    given.
     """
 
     def __init__(
         self,
         pattern: GraphPattern,
         graph: Union[PropertyGraph, GraphSnapshot],
-        backend: str = "auto",
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown matcher backend {backend!r}")
         self.pattern = pattern
         self.graph: Optional[PropertyGraph]
-        self.snapshot: Optional[GraphSnapshot]
         if isinstance(graph, GraphSnapshot):
-            if backend == "legacy":
-                raise ValueError(
-                    "backend='legacy' requires a PropertyGraph, got a snapshot"
-                )
             self.graph = None
             self.snapshot = graph
-        elif backend == "legacy":
-            self.graph = graph
-            self.snapshot = None
         else:
             self.graph = graph
             self.snapshot = graph.snapshot()
-        self.backend = "legacy" if self.snapshot is None else "snapshot"
-
-        if self.snapshot is not None:
-            self._cand: Dict[Variable, Set] = compute_candidate_indices(
-                pattern, self.snapshot
-            )
-            self._compile_pattern(self.snapshot)
-            # Plain functions, called as ``self._frontier(self, ...)``: a
-            # bound method stored on ``self`` is a reference cycle that
-            # only a full collection frees (see README "Worker heap").
-            self._frontier = SubgraphMatcher._frontier_indexed
-            self._consistent = SubgraphMatcher._consistent_indexed
-        else:
-            self._cand = compute_candidates(pattern, graph)
-            self._frontier = SubgraphMatcher._frontier_legacy
-            self._consistent = SubgraphMatcher._consistent_legacy
+        self._cand: Dict[Variable, Set[int]] = compute_candidate_indices(
+            pattern, self.snapshot
+        )
+        self._compile_pattern(self.snapshot)
         self._cand_nodes: Optional[Dict[Variable, Set[NodeId]]] = None
         self.order = self._plan_order()
         # Lazily-compiled factorised plan: None = not tried yet, False =
-        # tried and the pattern does not factorise on this backend.
+        # tried and the pattern does not factorise.
         self._fact_plan: Union[FactorisedPlan, None, bool] = None
 
     def _compile_pattern(self, snap: GraphSnapshot) -> None:
@@ -145,16 +111,13 @@ class SubgraphMatcher:
 
     @property
     def candidates(self) -> Dict[Variable, Set[NodeId]]:
-        """Candidate sets in original-id space (either backend)."""
+        """Candidate sets in original-id space."""
         if self._cand_nodes is None:
-            if self.snapshot is not None:
-                ids = self.snapshot.node_ids
-                self._cand_nodes = {
-                    var: {ids[idx] for idx in members}
-                    for var, members in self._cand.items()
-                }
-            else:
-                self._cand_nodes = self._cand
+            ids = self.snapshot.node_ids
+            self._cand_nodes = {
+                var: {ids[idx] for idx in members}
+                for var, members in self._cand.items()
+            }
         return self._cand_nodes
 
     def _plan_order(self) -> List[Variable]:
@@ -200,26 +163,20 @@ class SubgraphMatcher:
         for var in fixed:
             if var not in self._cand:  # one entry per pattern variable
                 raise KeyError(f"unknown pattern variable {var!r}")
-        if self.snapshot is not None:
-            index_of = self.snapshot.index
-            pinned: Dict[Variable, int] = {}
-            for var, node in fixed.items():
-                idx = index_of.get(node)
-                if idx is None or idx not in self._cand[var]:
-                    return iter(())  # incompatible pivot: no matches
-                pinned[var] = idx
-        else:
-            pinned = dict(fixed)
-            for var, node in pinned.items():
-                if node not in self._cand[var]:
-                    return iter(())  # incompatible pivot: no matches
+        index_of = self.snapshot.index
+        pinned: Dict[Variable, int] = {}
+        for var, node in fixed.items():
+            idx = index_of.get(node)
+            if idx is None or idx not in self._cand[var]:
+                return iter(())  # incompatible pivot: no matches
+            pinned[var] = idx
         if len(set(pinned.values())) != len(pinned):
             return iter(())  # pivot assignment not injective
         mapping = dict(pinned)
         used = set(pinned.values())
         # Validate edges among fixed variables up front.
         for var in pinned:
-            if not self._consistent(self, var, mapping[var], mapping, skip=var):
+            if not self._consistent(var, mapping[var], mapping, skip=var):
                 return iter(())
         order = [v for v in self.order if v not in pinned]
         found = self._search(order, 0, mapping, used, stats)
@@ -346,8 +303,7 @@ class SubgraphMatcher:
         Compiled lazily on first use and cached on the matcher (the
         engine's block materialiser caches matchers per pattern, so the
         plan survives across work units exactly like the candidate
-        sets).  Always ``None`` on the legacy backend — elimination
-        runs on the snapshot's CSR index.
+        sets).
         """
         plan = self._fact_plan
         if plan is None:
@@ -364,7 +320,7 @@ class SubgraphMatcher:
         if plan is None and eval_mode == "factorised":
             raise ValueError(
                 "pattern does not factorise (cyclic join structure, too "
-                "many variables, or legacy backend); use eval_mode='auto' "
+                "many variables); use eval_mode='auto' "
                 "or 'enumerate'"
             )
         return plan
@@ -397,8 +353,8 @@ class SubgraphMatcher:
         self,
         order: List[Variable],
         index: int,
-        mapping: Dict[Variable, object],
-        used: Set,
+        mapping: Dict[Variable, int],
+        used: Set[int],
         stats: MatchStats,
     ) -> Iterator[Match]:
         if index == len(order):
@@ -406,11 +362,11 @@ class SubgraphMatcher:
             yield self._emit(mapping)
             return
         var = order[index]
-        for node in self._frontier(self, var, mapping):
+        for node in self._frontier(var, mapping):
             if node in used:
                 continue
             stats.steps += 1
-            if not self._consistent(self, var, node, mapping):
+            if not self._consistent(var, node, mapping):
                 continue
             mapping[var] = node
             used.add(node)
@@ -418,77 +374,17 @@ class SubgraphMatcher:
             del mapping[var]
             used.discard(node)
 
-    def _emit(self, mapping: Dict[Variable, object]) -> Match:
-        if self.snapshot is not None:
-            ids = self.snapshot.node_ids
-            return {var: ids[idx] for var, idx in mapping.items()}
-        return dict(mapping)
+    def _emit(self, mapping: Dict[Variable, int]) -> Match:
+        ids = self.snapshot.node_ids
+        return {var: ids[idx] for var, idx in mapping.items()}
 
-    # -- legacy backend -------------------------------------------------
-    def _frontier_legacy(self, var: Variable, mapping: Match) -> Iterator[NodeId]:
+    def _frontier(self, var: Variable, mapping: Dict[Variable, int]):
         """Candidates for ``var`` given the partial mapping.
 
-        If ``var`` is adjacent to a mapped variable, walk that node's
-        adjacency (small); otherwise fall back to the global candidate set.
+        If ``var`` is adjacent to a mapped variable, take the smallest
+        CSR slice of a mapped neighbour's adjacency; otherwise fall back
+        to the global candidate set.
         """
-        pattern = self.pattern
-        graph = self.graph
-        candidates = self._cand[var]
-        # Find the mapped neighbour with the smallest adjacency.
-        best: Optional[Tuple[int, Iterator[NodeId]]] = None
-        for nbr, elabel in pattern.in_edges(var):
-            # pattern edge nbr -> var: candidates are out-neighbours of h(nbr)
-            if nbr in mapping:
-                image = mapping[nbr]
-                nbrs = graph.out_neighbors(image)
-                pool = [
-                    node
-                    for node, labels in nbrs.items()
-                    if (elabel == WILDCARD or elabel in labels) and node in candidates
-                ]
-                if best is None or len(pool) < best[0]:
-                    best = (len(pool), iter(pool))
-        for nbr, elabel in pattern.out_edges(var):
-            # pattern edge var -> nbr: candidates are in-neighbours of h(nbr)
-            if nbr in mapping:
-                image = mapping[nbr]
-                nbrs = graph.in_neighbors(image)
-                pool = [
-                    node
-                    for node, labels in nbrs.items()
-                    if (elabel == WILDCARD or elabel in labels) and node in candidates
-                ]
-                if best is None or len(pool) < best[0]:
-                    best = (len(pool), iter(pool))
-        if best is not None:
-            return best[1]
-        return iter(candidates)
-
-    def _consistent_legacy(
-        self,
-        var: Variable,
-        node: NodeId,
-        mapping: Match,
-        skip: Optional[Variable] = None,
-    ) -> bool:
-        """All pattern edges between ``var`` and mapped variables must exist."""
-        graph = self.graph
-        for nbr, elabel in self.pattern.out_edges(var):
-            if nbr == var:  # self loop
-                if not _edge_ok(graph, node, node, elabel):
-                    return False
-            elif nbr in mapping and nbr != skip:
-                if not _edge_ok(graph, node, mapping[nbr], elabel):
-                    return False
-        for nbr, elabel in self.pattern.in_edges(var):
-            if nbr in mapping and nbr != skip and nbr != var:
-                if not _edge_ok(graph, mapping[nbr], node, elabel):
-                    return False
-        return True
-
-    # -- indexed backend ------------------------------------------------
-    def _frontier_indexed(self, var: Variable, mapping: Dict[Variable, int]):
-        """Index-space frontier: CSR slices instead of adjacency-dict scans."""
         snap = self.snapshot
         candidates = self._cand[var]
         best: Optional[List[int]] = None
@@ -516,14 +412,15 @@ class SubgraphMatcher:
             return best
         return iter(candidates)
 
-    def _consistent_indexed(
+    def _consistent(
         self,
         var: Variable,
         node: int,
         mapping: Dict[Variable, int],
         skip: Optional[Variable] = None,
     ) -> bool:
-        """Consistency via the snapshot's O(1) interned edge sets."""
+        """All pattern edges between ``var`` and mapped variables exist
+        (checked via the snapshot's O(1) interned edge sets)."""
         edge_ok = self.snapshot.edge_ok
         for nbr, code in self._pat_out[var]:
             if nbr == var:  # self loop
@@ -539,12 +436,6 @@ class SubgraphMatcher:
         return True
 
 
-def _edge_ok(graph: PropertyGraph, src: NodeId, dst: NodeId, elabel: str) -> bool:
-    if elabel == WILDCARD:
-        return graph.has_edge(src, dst)
-    return graph.has_edge(src, dst, elabel)
-
-
 # ----------------------------------------------------------------------
 # module-level conveniences
 # ----------------------------------------------------------------------
@@ -554,30 +445,26 @@ def find_matches(
     fixed: Optional[Match] = None,
     limit: Optional[int] = None,
     stats: Optional[MatchStats] = None,
-    backend: str = "auto",
 ) -> Iterator[Match]:
     """Enumerate matches of ``pattern`` in ``graph`` (see the class docs)."""
-    return SubgraphMatcher(pattern, graph, backend=backend).matches(
+    return SubgraphMatcher(pattern, graph).matches(
         fixed=fixed, limit=limit, stats=stats
     )
 
 
 def has_match(
-    pattern: GraphPattern,
-    graph: Union[PropertyGraph, GraphSnapshot],
-    backend: str = "auto",
+    pattern: GraphPattern, graph: Union[PropertyGraph, GraphSnapshot]
 ) -> bool:
     """Whether ``pattern`` matches anywhere in ``graph``."""
-    return SubgraphMatcher(pattern, graph, backend=backend).first_match() is not None
+    return SubgraphMatcher(pattern, graph).first_match() is not None
 
 
 def count_matches(
     pattern: GraphPattern,
     graph: Union[PropertyGraph, GraphSnapshot],
-    backend: str = "auto",
     eval_mode: str = "auto",
 ) -> int:
     """Number of matches of ``pattern`` in ``graph``."""
-    return SubgraphMatcher(pattern, graph, backend=backend).count_matches(
+    return SubgraphMatcher(pattern, graph).count_matches(
         eval_mode=eval_mode
     )

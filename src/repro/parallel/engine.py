@@ -483,7 +483,7 @@ def _store_key(group: _Group, unit: WorkUnit) -> tuple:
 
 def _replayed(group, unit, materialiser, match_store):
     """The unit's resident ``(steps, match items, block)``, if stored."""
-    if match_store is None:
+    if match_store is None or match_store.miss_if_empty():
         return None
     stored = match_store.get(_store_key(group, unit))
     if stored is None:
@@ -1044,12 +1044,11 @@ def consolidate_slot_results(
             )
 
 
-def run_assignment(
+def run_units(
     sigma: Sequence[GFD],
     graph: PropertyGraph,
-    assignment: Sequence[Sequence[WorkUnit]],
+    plan: Sequence[Sequence[WorkUnit]],
     cluster: SimulatedCluster,
-    ship_partial_matches: bool = False,
     materialiser: Optional[BlockMaterialiser] = None,
     executor: str = "simulated",
     processes: Optional[int] = None,
@@ -1057,22 +1056,23 @@ def run_assignment(
     shard_cache: Optional["ShardCache"] = None,
     epoch: Optional[str] = None,
     sigma_key: Optional[object] = None,
+    match_store: Optional["MatchStore"] = None,
     ship_mode: str = "auto",
     fault_policy: Optional["FaultPolicy"] = None,
     plan_key: Optional["PlanKey"] = None,
-) -> Set[Violation]:
-    """Execute a per-worker unit assignment, charging costs as measured.
+) -> List[List[Optional["UnitResult"]]]:
+    """Execute a plan and return the per-unit results, charging costs.
 
-    Split units (replicate-and-split): the primary executes detection and
-    its measured step count is shared across all sub-units with the same
-    ``split_id``; replicas are charged their share.  With
-    ``ship_partial_matches=True`` (the fragmented setting) replicas are
-    additionally charged the partial-match shipment the strategy incurs;
-    over a replicated graph the exchange is free (Section 6.1: repVal
-    "requires no data exchange").  Primaries are processed first so the
-    shares are known when replicas are charged.  ``materialiser`` shares
+    Every primary unit (every unsplit unit is its own primary) is
+    charged its measured steps and block size, scaled by its
+    ``cost_share``; results align 1:1 with ``plan`` (``None`` for
+    replicas).  Phases that consume unit *payloads* (discovery's
+    mine/count/confirm phases) call this directly;
+    :func:`run_assignment` builds on it.  ``materialiser`` shares
     block/matcher materialisation across units (one is created per run
-    when not supplied; simulated backend only).
+    when not supplied; simulated backend only), and ``match_store``
+    gives the simulated backend a coordinator-side resident match store
+    (worker processes keep their own; see :func:`execute_unit`).
 
     ``executor`` selects how the primary units actually run —
     ``"simulated"`` (serial, in-process), ``"process"`` (real worker
@@ -1084,7 +1084,7 @@ def run_assignment(
     selects how ad-hoc pools ship full shards (pickle vs. shared-memory
     mapping; lent pools keep their own configured mode).  Cost
     charging happens on the coordinator from the per-unit measurements
-    either way, so all backends yield identical violations *and*
+    either way, so all backends yield identical results *and*
     identical cluster reports.  ``fault_policy`` configures the process
     backend's supervision plane (see
     :class:`~repro.parallel.faults.FaultPolicy`); recovered runs stay
@@ -1095,15 +1095,10 @@ def run_assignment(
     """
     from .executors import execute_plan
 
-    violations: Set[Violation] = set()
-    split_steps: Dict[int, int] = {}
-
-    # Pass 1: primaries (every unsplit unit is its own primary), executed
-    # by the selected backend; results align 1:1 with the assignment.
     results = execute_plan(
         sigma,
         graph,
-        assignment,
+        plan,
         executor=executor,
         processes=processes,
         materialiser=materialiser,
@@ -1111,22 +1106,55 @@ def run_assignment(
         shard_cache=shard_cache,
         epoch=epoch,
         sigma_key=sigma_key,
+        match_store=match_store,
         ship_mode=ship_mode,
         fault_policy=fault_policy,
         plan_key=plan_key,
     )
-    for worker, worker_units in enumerate(assignment):
+    for worker, worker_units in enumerate(plan):
         for unit, result in zip(worker_units, results[worker]):
+            if not unit.primary or result is None:
+                continue
+            cluster.charge_unit(
+                worker,
+                steps=int(result.steps * unit.cost_share),
+                block_size=unit.block_size * unit.cost_share,
+            )
+    return results
+
+
+def run_assignment(
+    sigma: Sequence[GFD],
+    graph: PropertyGraph,
+    assignment: Sequence[Sequence[WorkUnit]],
+    cluster: SimulatedCluster,
+    ship_partial_matches: bool = False,
+    **options,
+) -> Set[Violation]:
+    """Execute a per-worker unit assignment, charging costs as measured.
+
+    :func:`run_units` (which takes every keyword in ``options``) runs
+    and charges the primaries; this adds the union of their violations
+    and the replica charges.  Split units (replicate-and-split): the
+    primary executes detection and its measured step count is shared
+    across all sub-units with the same ``split_id``; replicas are
+    charged their share after every primary.  With
+    ``ship_partial_matches=True`` (the fragmented setting) replicas are
+    additionally charged the partial-match shipment the strategy incurs;
+    over a replicated graph the exchange is free (Section 6.1: repVal
+    "requires no data exchange").
+    """
+    results = run_units(sigma, graph, assignment, cluster, **options)
+    violations: Set[Violation] = set()
+    split_steps: Dict[int, int] = {}
+    for worker_units, worker_results in zip(assignment, results):
+        for unit, result in zip(worker_units, worker_results):
             if not unit.primary:
                 continue
             violations |= result.violations
             if unit.split_id is not None:
                 split_steps[unit.split_id] = result.steps
-            share = unit.cost_share
-            cluster.charge_unit(
-                worker, int(result.steps * share), unit.block_size * share
-            )
-    # Pass 2: replicas share the primary's measured cost and ship partial
+    # Replicas share the primary's measured cost and ship partial
     # matches between each other.
     for worker, worker_units in enumerate(assignment):
         for unit in worker_units:
@@ -1146,61 +1174,6 @@ def run_assignment(
                     messages=1,
                 )
     return violations
-
-
-def run_units(
-    sigma: Sequence[GFD],
-    graph: PropertyGraph,
-    plan: Sequence[Sequence[WorkUnit]],
-    cluster: SimulatedCluster,
-    materialiser: Optional[BlockMaterialiser] = None,
-    executor: str = "simulated",
-    processes: Optional[int] = None,
-    pool: Optional["MultiprocessExecutor"] = None,
-    shard_cache: Optional["ShardCache"] = None,
-    epoch: Optional[str] = None,
-    sigma_key: Optional[object] = None,
-    match_store: Optional["MatchStore"] = None,
-    ship_mode: str = "auto",
-    fault_policy: Optional["FaultPolicy"] = None,
-) -> List[List[Optional["UnitResult"]]]:
-    """Execute a plan and return the per-unit results, charging costs.
-
-    The result-bearing sibling of :func:`run_assignment`, used by phases
-    that consume unit *payloads* (discovery's mine/count phases) rather
-    than unioned violations.  Cost charging is the primary-unit part of
-    :func:`run_assignment` (mining plans carry no split replicas); the
-    backend switches are identical.  ``match_store`` gives the simulated
-    backend a coordinator-side resident match store (worker processes
-    keep their own; see :func:`execute_unit`).
-    """
-    from .executors import execute_plan
-
-    results = execute_plan(
-        sigma,
-        graph,
-        plan,
-        executor=executor,
-        processes=processes,
-        materialiser=materialiser,
-        pool=pool,
-        shard_cache=shard_cache,
-        epoch=epoch,
-        sigma_key=sigma_key,
-        match_store=match_store,
-        ship_mode=ship_mode,
-        fault_policy=fault_policy,
-    )
-    for worker, worker_units in enumerate(plan):
-        for unit, result in zip(worker_units, results[worker]):
-            if not unit.primary or result is None:
-                continue
-            cluster.charge_unit(
-                worker,
-                steps=int(result.steps * unit.cost_share),
-                block_size=unit.block_size * unit.cost_share,
-            )
-    return results
 
 
 def sequential_run(

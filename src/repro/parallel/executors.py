@@ -579,13 +579,28 @@ class MatchStore:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
-                self._run_stats.misses += 1
+                self._count_miss()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             self._run_stats.hits += 1
             return entry
+
+    def miss_if_empty(self) -> bool:
+        """Count a miss and return ``True`` when no entry is resident.
+
+        Lets a caller skip building a key that cannot hit — every unit
+        of a validate that no discover preceded — while the unit still
+        reads as a miss in the stats."""
+        with self._lock:
+            if self._entries:
+                return False
+            self._count_miss()
+            return True
+
+    def _count_miss(self) -> None:  #: holds: _lock
+        self.misses += 1
+        self._run_stats.misses += 1
 
     @staticmethod
     def _charge(matches: tuple) -> int:
@@ -2242,7 +2257,7 @@ def execute_plan(
 ) -> List[List[Optional["UnitResult"]]]:
     """Execute a plan's primary units with the chosen backend.
 
-    The entry point :func:`~repro.parallel.engine.run_assignment` builds
+    The entry point :func:`~repro.parallel.engine.run_units` builds
     on: resolves ``executor`` (see :func:`resolve_executor`), runs every
     primary unit, and returns per-worker result lists aligned with
     ``plan`` (``None`` for replicas).  ``materialiser`` and

@@ -432,7 +432,6 @@ class ValidationSession:
             self._incremental = IncrementalValidator(
                 self.sigma,
                 self.graph,
-                backend="auto",
                 violations=None if stale else self._violations,
             )
         elif stale:

@@ -11,10 +11,10 @@ Pins the tentpole contract of `ValidationSession.discover`:
   phase and the mined-Σ confirmation pass reuse the worker-resident
   shards mining shipped (zero block-shares, zero nodes; the confirmation
   pass ships only Σ), and a second `discover()` is warm end-to-end;
-* **discovery is order-independent** — the legacy and snapshot matcher
-  backends mine the same set (the old `matches[:200]` proposal sample
-  depended on enumeration order), and the explicit seeded sample is
-  invariant under input shuffling;
+* **discovery is order-independent** — the snapshot matcher mines the
+  same set as the dict-of-dicts oracle in `tests/oracle` (the old
+  `matches[:200]` proposal sample depended on enumeration order), and
+  the explicit seeded sample is invariant under input shuffling;
 * **sessions interleave** — base-Σ validation stays correct before and
   after mining on the same pool (the worker-side rule-set swap);
 * **compiled work survives Σ swaps** — a slot's matchers outlive
@@ -46,6 +46,8 @@ from repro.graph import greedy_edge_cut_partition, hash_partition
 from repro.matching import SubgraphMatcher
 from repro.parallel import estimate_workload
 from repro.parallel.executors import _run_slot, pack_shard
+
+from oracle import oracle_discover
 
 SEEDS = (0, 7, 13, 21)
 WORKER_COUNTS = (2, 3, 5)
@@ -464,8 +466,8 @@ class TestDiscoveryOrderIndependence:
         self, workloads, seed
     ):
         graph, _ = workloads[seed]
-        legacy = discover_gfds(graph, backend="legacy", **PARAMS)
-        snapshot = discover_gfds(graph, backend="snapshot", **PARAMS)
+        legacy = oracle_discover(graph, **PARAMS)
+        snapshot = discover_gfds(graph, **PARAMS)
         assert [mined_key(d) for d in legacy] == [
             mined_key(d) for d in snapshot
         ]
@@ -507,15 +509,11 @@ class TestDiscoveryOrderIndependence:
 
     def test_max_matches_cap_is_canonical(self, workloads):
         """A cap below the match count still mines deterministically and
-        identically across backends (the cap selects a canonical prefix,
+        identically to the oracle (the cap selects a canonical prefix,
         not an enumeration-order prefix)."""
         graph, _ = workloads[7]
-        capped_legacy = discover_gfds(
-            graph, backend="legacy", max_matches=20, **PARAMS
-        )
-        capped_snapshot = discover_gfds(
-            graph, backend="snapshot", max_matches=20, **PARAMS
-        )
+        capped_legacy = oracle_discover(graph, max_matches=20, **PARAMS)
+        capped_snapshot = discover_gfds(graph, max_matches=20, **PARAMS)
         assert [mined_key(d) for d in capped_legacy] == [
             mined_key(d) for d in capped_snapshot
         ]

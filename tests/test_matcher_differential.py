@@ -1,12 +1,11 @@
 """Differential harness: the indexed (snapshot) matcher must agree with
-the legacy dict-backed matcher on everything observable — match sets,
-violation sets, and ``MatchStats.matches`` — across seeded random
-graph/pattern pairs.
+the dict-of-dicts reference walk in ``tests/oracle`` on everything
+observable — match sets, violation sets, and ``MatchStats.matches`` —
+across seeded random graph/pattern pairs.
 
-This is the lock on the backend refactor: any divergence between the two
-search paths (candidate seeding, frontier expansion, consistency checks,
-pivoted matching) shows up here as a set difference on a reproducible
-seed.
+Any divergence between the two search paths (candidate seeding,
+frontier expansion, consistency checks, pivoted matching) shows up here
+as a set difference on a reproducible seed.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ from repro.core import det_vio, generate_gfds
 from repro.graph import WILDCARD, power_law_graph, uniform_random_graph
 from repro.matching import MatchStats, SubgraphMatcher
 from repro.pattern import GraphPattern
+
+from oracle import OracleMatcher, oracle_det_vio
 
 NODE_LABELS = tuple(f"L{i}" for i in range(6))
 EDGE_LABELS = tuple(f"e{i}" for i in range(3))
@@ -67,7 +68,7 @@ def make_pair(seed: int):
     return graph, random_pattern(rng)
 
 
-def match_set(matcher: SubgraphMatcher, fixed=None):
+def match_set(matcher, fixed=None):
     stats = MatchStats()
     found = frozenset(
         frozenset(m.items()) for m in matcher.matches(fixed=fixed, stats=stats)
@@ -79,8 +80,8 @@ def match_set(matcher: SubgraphMatcher, fixed=None):
 def test_backends_agree(seed):
     """Match sets and match counts are identical on pair ``seed``."""
     graph, pattern = make_pair(seed)
-    legacy = SubgraphMatcher(pattern, graph, backend="legacy")
-    indexed = SubgraphMatcher(pattern, graph, backend="snapshot")
+    legacy = OracleMatcher(pattern, graph)
+    indexed = SubgraphMatcher(pattern, graph)
 
     legacy_matches, legacy_stats = match_set(legacy)
     indexed_matches, indexed_stats = match_set(indexed)
@@ -89,7 +90,7 @@ def test_backends_agree(seed):
     assert legacy_stats.matches == len(legacy_matches)
 
     # The indexed candidates are a (pair-index-narrowed) subset of the
-    # legacy ones, and both contain every match image.
+    # oracle's, and both contain every match image.
     for var in pattern.nodes():
         assert indexed.candidates[var] <= legacy.candidates[var]
     for match in legacy_matches:
@@ -102,8 +103,8 @@ def test_pivoted_backends_agree(seed):
     """Pivoted (fixed-variable) matching agrees on matching and
     non-matching pivots alike."""
     graph, pattern = make_pair(seed)
-    legacy = SubgraphMatcher(pattern, graph, backend="legacy")
-    indexed = SubgraphMatcher(pattern, graph, backend="snapshot")
+    legacy = OracleMatcher(pattern, graph)
+    indexed = SubgraphMatcher(pattern, graph)
 
     variables = list(pattern.nodes())
     pivots = []
@@ -126,9 +127,9 @@ def test_pivoted_backends_agree(seed):
 
 @pytest.mark.parametrize("seed", range(0, NUM_PAIRS, 2))
 def test_violation_sets_agree(seed):
-    """``Vio(Σ, G)`` is backend-independent on generated rule sets."""
+    """``Vio(Σ, G)`` equals the oracle's on generated rule sets."""
     graph, _ = make_pair(seed)
     sigma = generate_gfds(graph, count=3, pattern_edges=2, seed=seed)
-    legacy_vio = det_vio(sigma, graph, backend="legacy")
-    indexed_vio = det_vio(sigma, graph, backend="snapshot")
+    legacy_vio = oracle_det_vio(sigma, graph)
+    indexed_vio = det_vio(sigma, graph)
     assert legacy_vio == indexed_vio

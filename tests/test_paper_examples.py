@@ -16,6 +16,8 @@ from repro.parallel import estimate_workload, lpt_partition, rep_val
 from repro.pattern import parse_pattern, pivot_vector
 from repro.datasets import dbpedia_like, yago_like
 
+from oracle import oracle_det_vio, oracle_matches
+
 
 class TestExample1KnowledgeBaseInconsistencies:
     """The three knowledge-base inconsistencies of Example 1 are each
@@ -138,20 +140,19 @@ class TestExamples9To13Workload:
 
 
 class TestExamplesOnSnapshotBackend:
-    """The same worked examples pinned through the indexed
-    :class:`GraphSnapshot` backend, so tier-1 exercises both matching
-    paths (the differential harness covers random inputs; these cover the
-    paper's own figures)."""
+    """The same worked examples pinned against the dict-of-dicts
+    reference matcher in ``tests/oracle`` (the differential harness
+    covers random inputs; these cover the paper's own figures)."""
 
     def test_example4_match_counts(self, q1, q2, g1, g3):
-        assert count_matches(q1, g1, backend="snapshot") == 2
-        assert count_matches(q2, g3, backend="snapshot") == 0
+        assert count_matches(q1, g1) == 2
+        assert count_matches(q2, g3) == 0
         # ...and identically over an explicitly-built snapshot object.
         assert count_matches(q1, g1.snapshot()) == 2
 
     def test_example1_flight_inconsistency(self, g1, phi1):
-        vio = det_vio([phi1], g1, backend="snapshot")
-        assert vio == det_vio([phi1], g1, backend="legacy")
+        vio = det_vio([phi1], g1)
+        assert vio == oracle_det_vio([phi1], g1)
         assert violation_entities(vio) >= {"flight1", "flight2"}
 
     def test_example1_capital_inconsistency(self, phi2):
@@ -161,22 +162,22 @@ class TestExamplesOnSnapshotBackend:
         graph.add_node("c2", "city", {"val": "Melbourne"})
         graph.add_edge("au", "c1", "capital")
         graph.add_edge("au", "c2", "capital")
-        vio = det_vio([phi2], graph, backend="snapshot")
+        vio = det_vio([phi2], graph)
         assert len(vio) == 2  # both (y,z) orders
 
     def test_example6_fake_account_rule(self, g2, phi6):
-        vio = det_vio([phi6], g2, backend="snapshot")
+        vio = det_vio([phi6], g2)
         assert {"acct4"} == {v.match["x"] for v in vio}
-        matches = list(find_matches(phi6.pattern, g2, backend="snapshot"))
+        matches = list(find_matches(phi6.pattern, g2))
         assert {tuple(sorted(m.items())) for m in matches} == {
             tuple(sorted(m.items()))
-            for m in find_matches(phi6.pattern, g2, backend="legacy")
+            for m in oracle_matches(phi6.pattern, g2)
         }
 
     def test_example13_local_detection_uses_snapshots(self, phi1, g1):
-        """repVal's engine (snapshot-backed blocks) equals legacy detVio."""
+        """repVal's engine (snapshot-backed blocks) equals the oracle."""
         run = rep_val([phi1], g1, n=2)
-        assert run.violations == det_vio([phi1], g1, backend="legacy")
+        assert run.violations == oracle_det_vio([phi1], g1)
 
 
 class TestFigure7RealLifeGFDs:

@@ -35,6 +35,8 @@ from repro.cli import main as cli_main
 from repro.graph import greedy_edge_cut_partition, hash_partition, save_graph
 from repro.parallel.engine import BlockMaterialiser
 
+from oracle import oracle_det_vio
+
 WORKLOAD_SEEDS = (3, 11)
 
 
@@ -204,7 +206,7 @@ class TestWarmRuns:
             assert session.validate(n=2).violations == set()
             graph.add_edge("au", "c2", "capital")  # NOT via session.update
             rerun = session.validate(n=2)
-        assert rerun.violations == det_vio([phi], graph, backend="legacy")
+        assert rerun.violations == oracle_det_vio([phi], graph)
         assert rerun.violations  # the second capital is a violation
 
     def test_stale_fragmentation_rejected_with_clear_error(self, workloads):
@@ -217,7 +219,7 @@ class TestWarmRuns:
                 session.validate(fragmentation=fragmentation)
             recut = hash_partition(graph, 2, seed=0)
             run = session.validate(fragmentation=recut)
-        assert run.violations == det_vio(sigma, graph, backend="legacy")
+        assert run.violations == oracle_det_vio(sigma, graph)
 
     def test_edge_only_stale_fragmentation_tolerated(self, workloads):
         """Pre-session behaviour preserved: a fragmentation cut before an
@@ -228,7 +230,7 @@ class TestWarmRuns:
         nodes = list(graph.nodes())
         graph.add_edge(nodes[0], nodes[5], "e0")
         run = dis_val(sigma, fragmentation)
-        assert run.violations == det_vio(sigma, graph, backend="legacy")
+        assert run.violations == oracle_det_vio(sigma, graph)
 
     def test_out_of_band_mutation_invalidates_maintained_violations(self):
         """g mutated directly, then update(): the stale cached set must
@@ -315,7 +317,7 @@ class TestWarmRuns:
             run = session.validate(n=4)
         assert run.shipping.reused == 0  # stale shards were not trusted
         assert run.shipping.full > 0
-        assert run.violations == det_vio(sigma, graph, backend="legacy")
+        assert run.violations == oracle_det_vio(sigma, graph)
 
 
 class TestSessionUpdates:
@@ -345,7 +347,7 @@ class TestSessionUpdates:
                 ("node", "fresh", "L0", {"A0": "v0"}),
                 ("edge+", "fresh", block[0], "e1"),
             ])
-            expected = det_vio(sigma, graph, backend="legacy")
+            expected = oracle_det_vio(sigma, graph)
             assert session.violations == expected  # incremental, no rerun
             run = session.validate(n=4)
         assert run.violations == expected
@@ -407,9 +409,7 @@ class TestSessionUpdates:
         with ValidationSession(graph, sigma, executor="simulated") as session:
             nodes = list(graph.nodes())
             session.update([("edge+", nodes[0], nodes[1], "e0")])
-            assert session.violations == det_vio(
-                sigma, graph, backend="legacy"
-            )
+            assert session.violations == oracle_det_vio(sigma, graph)
             assert session.validate(n=2).violations == session.violations
 
 

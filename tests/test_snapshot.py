@@ -19,6 +19,8 @@ from repro.graph import (
 from repro.graph.snapshot import ABSENT_CODE, WILD_CODE
 from repro.matching import compute_candidates
 
+from oracle import oracle_candidates
+
 SEEDS = (0, 1, 2, 7)
 
 
@@ -201,7 +203,7 @@ class TestCandidatesOverSnapshot:
         graph = generated(seed)
         snap = graph.snapshot()
         for gfd in generate_gfds(graph, count=4, pattern_edges=2, seed=seed):
-            legacy = compute_candidates(gfd.pattern, graph)
+            legacy = oracle_candidates(gfd.pattern, graph)
             indexed = compute_candidates(gfd.pattern, snap)
             assert set(legacy) == set(indexed)
             for var in legacy:

@@ -15,9 +15,9 @@ Two pins, applied after every update of randomized op sequences:
    one-shot derivation they must agree with.
 
 Plus the acceptance pin for the session layer: an
-:class:`IncrementalValidator` on the snapshot backend maintains violation
-sets identical to a legacy-backend validator and to from-scratch
-re-validation after every update.
+:class:`IncrementalValidator` maintains violation sets identical to
+from-scratch re-validation by the dict-of-dicts reference matcher in
+``tests/oracle`` after every update.
 """
 
 from __future__ import annotations
@@ -27,11 +27,14 @@ import random
 
 import pytest
 
-from repro.core import det_vio, generate_gfds
+from repro.core import generate_gfds
 from repro.core.incremental import IncrementalValidator
 from repro.graph import GraphSnapshot, PropertyGraph, power_law_graph
 from repro.graph.snapshot import WILD_CODE
+from repro.graph.updates import apply_op
 from repro.matching import SubgraphMatcher
+
+from oracle import oracle_det_vio, oracle_matches
 
 #: every derived (non-pickled) structure of a snapshot
 DERIVED = (
@@ -201,7 +204,7 @@ class TestRandomisedDifferential:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_matching_after_deltas(self, seed):
         """End-to-end: the patched index enumerates the same matches as
-        the legacy dict backend over the mutated graph."""
+        the dict-of-dicts oracle over the mutated graph."""
         rng = random.Random(7 + seed)
         graph = generated(seed)
         sigma = generate_gfds(graph, count=3, pattern_edges=2, seed=seed)
@@ -215,9 +218,8 @@ class TestRandomisedDifferential:
             return sorted(m.items(), key=repr)
         for gfd in sigma:
             indexed = SubgraphMatcher(gfd.pattern, snap)
-            legacy = SubgraphMatcher(gfd.pattern, graph, backend="legacy")
             assert sorted(map(key, indexed.matches())) == sorted(
-                map(key, legacy.matches())
+                map(key, oracle_matches(gfd.pattern, graph))
             )
 
 
@@ -314,9 +316,10 @@ class TestTargetedDeltas:
 
 
 class TestIncrementalValidatorBackends:
-    """Acceptance pin: the incremental validator on the snapshot backend
-    maintains violation sets identical to the legacy backend and to a
-    from-scratch legacy re-validation after every update."""
+    """Acceptance pin: the incremental validator (matching on the
+    delta-maintained snapshot) maintains violation sets identical to a
+    from-scratch oracle re-validation after every update — both of its
+    own graph and of a mirror that only ``apply_op`` ever mutated."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_snapshot_vs_legacy_update_stream(self, seed):
@@ -324,9 +327,8 @@ class TestIncrementalValidatorBackends:
         graph = power_law_graph(110, 280, seed=seed, domain_size=5)
         mirror = graph.copy()
         sigma = generate_gfds(graph, count=3, pattern_edges=2, seed=seed)
-        indexed = IncrementalValidator(sigma, graph, backend="auto")
-        legacy = IncrementalValidator(sigma, mirror, backend="legacy")
-        assert indexed.violations == legacy.violations
+        indexed = IncrementalValidator(sigma, graph)
+        assert indexed.violations == oracle_det_vio(sigma, mirror)
         nodes = list(graph.nodes())
         elabels = sorted(graph.edge_labels())
         for step in range(12):
@@ -335,31 +337,27 @@ class TestIncrementalValidatorBackends:
                 node = rng.choice(nodes)
                 attr, value = rng.choice(["A0", "A1"]), f"v{rng.randrange(5)}"
                 indexed.set_attr(node, attr, value)
-                legacy.set_attr(node, attr, value)
+                apply_op(mirror, ("attr", node, attr, value))
             elif kind == "edge+":
                 src, dst = rng.sample(nodes, 2)
                 label = rng.choice(elabels)
                 indexed.add_edge(src, dst, label)
-                legacy.add_edge(src, dst, label)
+                apply_op(mirror, ("edge+", src, dst, label))
             elif kind == "edge-":
                 edges = list(graph.edges())
                 if not edges:
                     continue
                 edge = rng.choice(edges)
                 indexed.remove_edge(*edge)
-                legacy.remove_edge(*edge)
+                apply_op(mirror, ("edge-", *edge))
             else:
                 node = f"n{step}"
                 indexed.add_node(node, "L0", {"A0": "v0"})
-                legacy.add_node(node, "L0", {"A0": "v0"})
+                apply_op(mirror, ("node", node, "L0", {"A0": "v0"}))
                 nodes.append(node)
-            assert indexed.violations == legacy.violations, f"step {step}"
-            assert indexed.violations == det_vio(
-                sigma, graph, backend="legacy"
-            ), f"step {step}: diverged from full legacy re-validation"
-
-    def test_backend_recorded_and_validated(self):
-        graph = power_law_graph(40, 80, seed=0, domain_size=4)
-        sigma = generate_gfds(graph, count=2, pattern_edges=1, seed=0)
-        with pytest.raises(ValueError):
-            IncrementalValidator(sigma, graph, backend="threads")
+            assert indexed.violations == oracle_det_vio(
+                sigma, mirror
+            ), f"step {step}"
+            assert indexed.violations == oracle_det_vio(
+                sigma, graph
+            ), f"step {step}: diverged from full oracle re-validation"

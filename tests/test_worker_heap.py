@@ -4,8 +4,7 @@ Pool workers freeze what they keep after every batch, so full
 collections never walk the resident shard, blocks and matchers again
 (README "Worker heap").  That is sound only if dropping any of it frees
 it by reference counting — frozen cyclic garbage is never freed.  The
-first class pins the acyclic contract over every unit kind and both
-matcher backends; the second drives the worker's slot handler and its
+first class pins the acyclic contract over every unit kind; the second drives the worker's slot handler and its
 post-batch freeze in-process and pins that the frozen-object count
 stays flat across warm batches and falls back once a shard is replaced.
 The coordinator's candidate generators are held to the same contract:
@@ -34,6 +33,8 @@ from repro.parallel.executors import (
 )
 from repro.parallel.multiquery import singleton_groups
 from repro.pattern.pattern import GraphPattern
+
+from oracle import oracle_matches
 
 
 def _workload(seed: int):
@@ -76,8 +77,10 @@ def _exercise_resident_state(graph, sigma, units) -> int:
             )
             execute_unit(sigma, graph, count, materialiser)
             execute_unit(sigma, graph, count, materialiser, match_store=store)
-    legacy = SubgraphMatcher(sigma[0].pattern, graph, backend="legacy")
-    assert sum(1 for _ in legacy.matches()) == legacy.count_matches()
+    matcher = SubgraphMatcher(sigma[0].pattern, graph)
+    assert sum(1 for _ in oracle_matches(sigma[0].pattern, graph)) == (
+        matcher.count_matches(eval_mode="enumerate")
+    )
     assert len(store) > 0
     return sum(
         matcher.factorised_plan() is not None
