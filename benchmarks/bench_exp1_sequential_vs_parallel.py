@@ -30,9 +30,10 @@ from repro import (
     sequential_run,
 )
 from repro.parallel import (
+    MultiprocessExecutor,
+    SimulatedExecutor,
     build_shared_groups,
     estimate_workload,
-    execute_plan,
     lpt_partition,
 )
 from repro.parallel.executors import usable_cpus
@@ -105,12 +106,17 @@ def test_exp1_real_multiprocess_speedup(benchmark):
     units = estimate_workload(sigma, graph, groups=build_shared_groups(sigma))
     plan, _ = lpt_partition(units, 4)
 
+    def run_on_processes():
+        # pool start-up and shutdown belong to the measured process run
+        with MultiprocessExecutor(processes=4) as pool:
+            return pool.run(sigma, graph, plan)
+
     serial_start = time.perf_counter()
-    serial = execute_plan(sigma, graph, plan, executor="simulated")
+    serial = SimulatedExecutor().run(sigma, graph, plan)
     serial_time = time.perf_counter() - serial_start
 
     process_start = time.perf_counter()
-    parallel = execute_plan(sigma, graph, plan, executor="process", processes=4)
+    parallel = run_on_processes()
     process_time = time.perf_counter() - process_start
 
     def vio(results):
@@ -137,10 +143,4 @@ def test_exp1_real_multiprocess_speedup(benchmark):
     else:
         print(f"(speedup bar skipped: only {cpus} usable CPU(s))")
 
-    benchmark.pedantic(
-        lambda: execute_plan(
-            sigma, graph, plan, executor="process", processes=4
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    benchmark.pedantic(run_on_processes, rounds=1, iterations=1)

@@ -38,7 +38,6 @@ from .executors import (
     ShardPlane,
     ShippingStats,
     SimulatedExecutor,
-    execute_plan,
     resolve_executor,
     shm_available,
     worker_graph,
@@ -99,7 +98,6 @@ __all__ = [
     "FaultPolicy",
     "FaultStats",
     "resolve_fault_policy",
-    "execute_plan",
     "resolve_executor",
     "shm_available",
     "worker_graph",

@@ -19,17 +19,19 @@ import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executors import (
         MatchStore,
         MultiprocessExecutor,
         PlanKey,
-        ShardCache,
         ShippingStats,
+        SimulatedExecutor,
     )
-    from .faults import FaultPolicy, WorkerFaultContext
+    from .faults import WorkerFaultContext
 
 from ..graph.graph import NodeId, PropertyGraph
 from ..graph.updates import apply_op, is_structural, op_nodes
@@ -1049,67 +1051,33 @@ def run_units(
     graph: PropertyGraph,
     plan: Sequence[Sequence[WorkUnit]],
     cluster: SimulatedCluster,
-    materialiser: Optional[BlockMaterialiser] = None,
-    executor: str = "simulated",
-    processes: Optional[int] = None,
-    pool: Optional["MultiprocessExecutor"] = None,
-    shard_cache: Optional["ShardCache"] = None,
-    epoch: Optional[str] = None,
+    backend: Union["SimulatedExecutor", "MultiprocessExecutor"],
     sigma_key: Optional[object] = None,
-    match_store: Optional["MatchStore"] = None,
-    ship_mode: str = "auto",
-    fault_policy: Optional["FaultPolicy"] = None,
     plan_key: Optional["PlanKey"] = None,
 ) -> List[List[Optional["UnitResult"]]]:
-    """Execute a plan and return the per-unit results, charging costs.
+    """Execute a plan on ``backend`` and return the per-unit results,
+    charging costs.
 
     Every primary unit (every unsplit unit is its own primary) is
     charged its measured steps and block size, scaled by its
     ``cost_share``; results align 1:1 with ``plan`` (``None`` for
     replicas).  Phases that consume unit *payloads* (discovery's
     mine/count/confirm phases) call this directly;
-    :func:`run_assignment` builds on it.  ``materialiser`` shares
-    block/matcher materialisation across units (one is created per run
-    when not supplied; simulated backend only), and ``match_store``
-    gives the simulated backend a coordinator-side resident match store
-    (worker processes keep their own; see :func:`execute_unit`).
+    :func:`run_assignment` builds on it.
 
-    ``executor`` selects how the primary units actually run —
-    ``"simulated"`` (serial, in-process), ``"process"`` (real worker
-    processes, ``processes`` capping the pool), or ``"auto"`` (see
-    :func:`~repro.parallel.executors.resolve_executor`).  ``pool`` lends
-    a caller-owned :class:`~repro.parallel.executors.MultiprocessExecutor`
-    (a session's persistent pool) to the process backend, with
-    ``shard_cache``/``epoch`` enabling warm shard shipping.  ``ship_mode``
-    selects how ad-hoc pools ship full shards (pickle vs. shared-memory
-    mapping; lent pools keep their own configured mode).  Cost
-    charging happens on the coordinator from the per-unit measurements
-    either way, so all backends yield identical results *and*
-    identical cluster reports.  ``fault_policy`` configures the process
-    backend's supervision plane (see
-    :class:`~repro.parallel.faults.FaultPolicy`); recovered runs stay
-    on this same canonical folding path, so the guarantee extends to
-    runs that lost and respawned workers mid-flight.  ``plan_key``
-    names a plan the caller runs again unchanged (a session's cached
-    plan), so warm worker slots that hold it are sent no units.
+    ``backend`` is the one executor of the run: a
+    :class:`~repro.parallel.executors.SimulatedExecutor` (serial,
+    in-process, over its block materialiser and optional match store)
+    or a started :class:`~repro.parallel.executors.MultiprocessExecutor`
+    (a session's supervised pool, shipping warm through its own shard
+    mirror).  ``sigma_key`` and ``plan_key`` name the rule set and the
+    plan, so warm worker slots that already hold them are sent neither.
+    Cost charging happens on the coordinator from the per-unit
+    measurements either way, so both backends — recovered process runs
+    included — yield identical results *and* identical cluster reports.
     """
-    from .executors import execute_plan
-
-    results = execute_plan(
-        sigma,
-        graph,
-        plan,
-        executor=executor,
-        processes=processes,
-        materialiser=materialiser,
-        pool=pool,
-        shard_cache=shard_cache,
-        epoch=epoch,
-        sigma_key=sigma_key,
-        match_store=match_store,
-        ship_mode=ship_mode,
-        fault_policy=fault_policy,
-        plan_key=plan_key,
+    results = backend.run(
+        sigma, graph, plan, sigma_key=sigma_key, plan_key=plan_key
     )
     for worker, worker_units in enumerate(plan):
         for unit, result in zip(worker_units, results[worker]):
@@ -1128,23 +1096,27 @@ def run_assignment(
     graph: PropertyGraph,
     assignment: Sequence[Sequence[WorkUnit]],
     cluster: SimulatedCluster,
+    backend: Union["SimulatedExecutor", "MultiprocessExecutor"],
+    sigma_key: Optional[object] = None,
+    plan_key: Optional["PlanKey"] = None,
     ship_partial_matches: bool = False,
-    **options,
 ) -> Set[Violation]:
     """Execute a per-worker unit assignment, charging costs as measured.
 
-    :func:`run_units` (which takes every keyword in ``options``) runs
-    and charges the primaries; this adds the union of their violations
-    and the replica charges.  Split units (replicate-and-split): the
-    primary executes detection and its measured step count is shared
-    across all sub-units with the same ``split_id``; replicas are
-    charged their share after every primary.  With
-    ``ship_partial_matches=True`` (the fragmented setting) replicas are
-    additionally charged the partial-match shipment the strategy incurs;
-    over a replicated graph the exchange is free (Section 6.1: repVal
-    "requires no data exchange").
+    :func:`run_units` runs and charges the primaries on ``backend``;
+    this adds the union of their violations and the replica charges.
+    Split units (replicate-and-split): the primary executes detection
+    and its measured step count is shared across all sub-units with the
+    same ``split_id``; replicas are charged their share after every
+    primary.  With ``ship_partial_matches=True`` (the fragmented
+    setting) replicas are additionally charged the partial-match
+    shipment the strategy incurs; over a replicated graph the exchange
+    is free (Section 6.1: repVal "requires no data exchange").
     """
-    results = run_units(sigma, graph, assignment, cluster, **options)
+    results = run_units(
+        sigma, graph, assignment, cluster, backend,
+        sigma_key=sigma_key, plan_key=plan_key,
+    )
     violations: Set[Violation] = set()
     split_steps: Dict[int, int] = {}
     for worker_units, worker_results in zip(assignment, results):

@@ -40,17 +40,19 @@ One process path (pinned pool + warm shards)
 Every process run goes through the same pool: ``start()`` forks worker
 processes, each plan slot pinned to the same process (slot ``w`` → pool
 worker ``w % size``), and each worker keeps a resident-shard cache keyed
-by ``(run_epoch, worker_id)``.  The session layer
-(:class:`~repro.session.ValidationSession`) keeps the pool alive across
-``run()`` calls, and a :class:`ShardCache` on the coordinator mirrors
-what every slot holds — its shard, its Σ and its units — so
-consecutive runs over a reused fragmentation ship only the block-share
-*delta*, and a repeated plan (named by a :class:`PlanKey`) ships no
-units (when nothing changed, nothing at all).  A ``run()`` on an
-unstarted executor starts a pool sized to the plan's busy slots, runs
-once and shuts it down again.  Either way
-:class:`ShippingStats` reports full/delta/reuse counts, worker pids and
-fault activity per run.
+by ``(epoch, slot)``.  The pool owns the coordinator's mirror of those
+caches, a :class:`ShardCache` minted by ``start()`` and dropped by
+``shutdown()``: it records what every slot holds — its shard, its Σ
+and its units — so consecutive runs over a reused fragmentation ship
+only the block-share *delta*, and a repeated plan (named by a
+:class:`PlanKey`) ships no units (when nothing changed, nothing at
+all).  Only runs that name their rule set by ``sigma_key`` — whose
+caller records every graph edit, as the session does — ship warm; a
+run without one, or over another graph object, ships full shards.  The
+session layer (:class:`~repro.session.ValidationSession`) keeps one
+pool alive across ``run()`` calls; ``run()`` on a pool that is not
+started raises.  :class:`ShippingStats` reports full/delta/reuse
+counts, worker pids and fault activity per run.
 
 Ship modes (the shard plane)
 ----------------------------
@@ -797,7 +799,6 @@ class PlanKey:
 class _SlotState:
     """Coordinator-side mirror of one worker slot's resident shard."""
 
-    epoch: str
     resident: Set
     seq: int  # position in the ShardCache op log already shipped
     #: identity of the rule set the worker currently holds for this slot
@@ -810,43 +811,54 @@ class _SlotState:
 class ShardCache:
     """Coordinator-side bookkeeping for warm worker-resident shards.
 
-    A :class:`~repro.session.ValidationSession` owns one of these per
-    session.  For every busy plan slot it remembers which nodes the
-    pinned worker process currently holds (and at which op-log position),
-    so consecutive runs over an unchanged — or session-updated — graph
-    ship only the *delta*: graph updates routed through
-    ``session.update()`` land in the op log and are forwarded to resident
-    shards; newly needed block nodes travel as an induced add-payload;
-    an unchanged slot ships nothing.
+    A started :class:`MultiprocessExecutor` owns one of these, minted
+    with the pool and dropped with it, together with the ``epoch`` that
+    names its slots in the workers' resident caches.  For every busy
+    plan slot it remembers which nodes the pinned worker process
+    currently holds (and at which op-log position), so consecutive runs
+    over an unchanged — or session-updated — graph ship only the
+    *delta*: graph updates routed through ``session.update()`` land in
+    the op log and are forwarded to resident shards; newly needed block
+    nodes travel as an induced add-payload; an unchanged slot ships
+    nothing.
 
     Out-of-band structural mutations (not routed through the session) are
-    detected via the graph's structural version and drop every slot cold.
-    Attribute edits do not bump the version, so those *must* go through
-    ``session.update()`` — the same contract ``IncrementalValidator``
-    already imposes.
+    detected via the graph's structural version and drop every slot cold,
+    as does a run over a different graph object.  Attribute edits do not
+    bump the version, so those *must* go through ``session.update()`` —
+    the same contract ``IncrementalValidator`` already imposes.  A run
+    that names no rule set (``sigma_key=None``) has made no such promise
+    and starts cold (see :meth:`MultiprocessExecutor.run`).
     """
 
     #: forwarded-op budget per slot and run: past this, reship instead
     MAX_FORWARD_OPS = 4096
 
     def __init__(self) -> None:
+        #: names this mirror's slots in the workers' resident caches
+        self.epoch = next_epoch("pool")
         self._lock = threading.RLock()
         self._slots: Dict[int, _SlotState] = {}  #: guarded-by: _lock
         self._log: List[Tuple] = []  #: guarded-by: _lock
         self._marked_version: Optional[int] = None  #: guarded-by: _lock
+        #: the graph the resident shards mirror (held until shutdown)
+        self._graph: Optional[PropertyGraph] = None  #: guarded-by: _lock
 
-    def record(self, op: Tuple) -> None:
-        """Append one session-routed update op to the forwarding log.
+    def record(self, ops: Sequence[Tuple], version: int) -> None:
+        """Log a batch of session-routed update ops for forwarding.
 
+        ``version`` is the graph's structural version after the batch,
+        so :meth:`sync` can tell these ops from out-of-band mutations.
         The log is compacted at every :meth:`sync` and hard-capped here:
         a backlog several times :data:`MAX_FORWARD_OPS` means no slot is
         keeping up (or none exists), so reshipping beats forwarding and
         everything is dropped cold.
         """
         with self._lock:
-            self._log.append(op)
+            self._log.extend(ops)
             if len(self._log) > 4 * self.MAX_FORWARD_OPS:
                 self.invalidate()
+            self._marked_version = version
 
     def _compact(self) -> None:  #: holds: _lock
         """Drop the log prefix every slot has already consumed."""
@@ -858,11 +870,6 @@ class ShardCache:
             del self._log[:low]
             for state in self._slots.values():
                 state.seq -= low
-
-    def mark_version(self, version: int) -> None:
-        """Declare the graph's structural version after session updates."""
-        with self._lock:
-            self._marked_version = version
 
     def invalidate(self) -> None:
         """Drop every slot cold (next run reships full shards)."""
@@ -892,11 +899,16 @@ class ShardCache:
         """Reconcile with the graph before a run.
 
         A structural version the session did not announce means someone
-        mutated the graph out-of-band: every resident shard is stale.
+        mutated the graph out-of-band, and a different graph object shares
+        nothing with the resident shards: either way every one is stale.
         """
         with self._lock:
-            if self._marked_version != graph._version:
+            if (
+                self._graph is not graph
+                or self._marked_version != graph._version
+            ):
                 self.invalidate()
+                self._graph = graph
                 self._marked_version = graph._version
             else:
                 self._compact()
@@ -904,7 +916,6 @@ class ShardCache:
     def plan(
         self,
         slot: int,
-        epoch: str,
         needed: Set,
         graph: PropertyGraph,
         sigma_key: Optional[object] = None,
@@ -926,7 +937,7 @@ class ShardCache:
         with self._lock:
             state = self._slots.get(slot)
             if (
-                state is not None and state.epoch == epoch
+                state is not None
                 and len(self._log) - state.seq <= self.MAX_FORWARD_OPS
             ):
                 # forward the logged ops that land inside the resident share
@@ -960,7 +971,7 @@ class ShardCache:
                 )
             shard = graph.induced_subgraph(needed)
             self._slots[slot] = _SlotState(
-                epoch=epoch, resident=set(needed), seq=len(self._log),
+                resident=set(needed), seq=len(self._log),
                 sigma_key=sigma_key, plan_key=plan_key,
             )
             return "full", shard, False, True
@@ -1390,6 +1401,8 @@ class SimulatedExecutor:
     """
 
     name = "simulated"
+    #: nothing travels, so there is never a shipping record
+    last_shipping: Optional["ShippingStats"] = None
 
     def __init__(
         self,
@@ -1404,13 +1417,17 @@ class SimulatedExecutor:
         sigma: Sequence[GFD],
         graph: PropertyGraph,
         plan: Sequence[Sequence[WorkUnit]],
+        sigma_key: Optional[object] = None,
+        plan_key: Optional["PlanKey"] = None,
     ) -> List[List[Optional["UnitResult"]]]:
         """Execute every primary unit; replicas map to ``None``.
 
         Each slot runs through the engine's one slot loop
         (:func:`~repro.parallel.engine.run_slot`), the same one a worker
         process runs, so both backends consume and produce
-        identically-shaped unit payloads.
+        identically-shaped unit payloads.  ``sigma_key`` and
+        ``plan_key`` name what a worker slot may already hold; nothing
+        is resident here, so they are unused.
         """
         from .engine import BlockMaterialiser, run_slot
 
@@ -1499,8 +1516,6 @@ class _PersistentRun:
         graph: PropertyGraph,
         primaries: List[List[WorkUnit]],
         busy: List[int],
-        shard_cache: Optional[ShardCache],
-        epoch: str,
         sigma_key: Optional[object],
         stats: ShippingStats,
         policy: FaultPolicy,
@@ -1511,8 +1526,9 @@ class _PersistentRun:
         self.graph = graph
         self.primaries = primaries
         self.busy = busy
-        self.shard_cache = shard_cache
-        self.epoch = epoch
+        #: the pool's mirror of its workers' resident caches
+        self.shard_cache: ShardCache = pool.shard_cache
+        self.epoch = self.shard_cache.epoch
         self.sigma_key = sigma_key
         self.plan_key = plan_key
         #: per plan slot, the node set its shard must hold
@@ -1558,16 +1574,10 @@ class _PersistentRun:
         rebuilt from scratch.
         """
         stats = self.stats
-        needed = self.needed[worker]
-        if self.shard_cache is None:
-            mode, data, ship_sigma, ship_plan = (
-                "full", self.graph.induced_subgraph(needed), False, True
-            )
-        else:
-            mode, data, ship_sigma, ship_plan = self.shard_cache.plan(
-                worker, self.epoch, needed, self.graph,
-                sigma_key=self.sigma_key, plan_key=self.plan_key,
-            )
+        mode, data, ship_sigma, ship_plan = self.shard_cache.plan(
+            worker, self.needed[worker], self.graph,
+            sigma_key=self.sigma_key, plan_key=self.plan_key,
+        )
         if ship_sigma or mode == "full":
             if self._sigma_blob is None:
                 self._sigma_blob = pack_shard(self.sigma)
@@ -1648,8 +1658,7 @@ class _PersistentRun:
             if mode == "full":
                 out.append(task)
             else:
-                if self.shard_cache is not None:
-                    self.shard_cache.drop_slots([worker])
+                self.shard_cache.drop_slots([worker])
                 out.append(self._build_task(worker))
         return out
 
@@ -1793,11 +1802,10 @@ class _PersistentRun:
         """Terminal failure: tear down exactly like the fail-stop path.
 
         The cache mirror and the pool state are unknowable, so the next
-        run must restart cold — and no stale reply may survive in a
-        pipe, which shutdown guarantees by closing every conn.
+        run must restart cold — shutdown drops the pool's mirror — and
+        no stale reply may survive in a pipe, which shutdown guarantees
+        by closing every conn.
         """
-        if self.shard_cache is not None:
-            self.shard_cache.invalidate()
         self.pool.shutdown()
         raise RuntimeError(message)
 
@@ -1816,14 +1824,12 @@ class _PersistentRun:
         elif kind == "stall":
             faults.stalls += 1
         batches = list(self.pending.pop(index, ()))
-        if self.shard_cache is not None:
-            # Everything resident on the dead process died with it —
-            # including slots from previous runs this run merely reused.
-            dead = [
-                slot for slot in self.shard_cache.slots()
-                if self._route_slot(slot) == index
-            ]
-            self.shard_cache.drop_slots(dead)
+        # Everything resident on the dead process died with it —
+        # including slots from previous runs this run merely reused.
+        self.shard_cache.drop_slots([
+            slot for slot in self.shard_cache.slots()
+            if self._route_slot(slot) == index
+        ])
         head = batches[0] if batches else None
         if head is not None:
             head.attempts += 1
@@ -1850,8 +1856,7 @@ class _PersistentRun:
         # plan slot, so the whole cache mirror goes cold).
         self.pool._retire_worker(index)
         faults.degraded_slots += 1
-        if self.shard_cache is not None:
-            self.shard_cache.invalidate()
+        self.shard_cache.invalidate()
         live = self.pool._live_indices()
         if len(live) < self.policy.degrade_floor:
             self._abort(
@@ -1886,15 +1891,15 @@ class MultiprocessExecutor:
 
     :meth:`start` forks pinned worker processes: plan slot ``w`` is
     always served by pool worker ``w % size``, and each worker process
-    keeps a resident-shard cache keyed by ``(run_epoch, worker_id)`` —
-    so a warm run on a started pool (what
-    :class:`~repro.session.ValidationSession` holds) ships only the
-    block-share delta a :class:`ShardCache` computes (or nothing at
-    all), and reuses the worker's shard, snapshot and block cache.
-    :meth:`shutdown` (or the context manager) ends the pool.  A
-    :meth:`run` on an unstarted executor starts a pool of
-    ``min(processes or busy, busy)`` workers for the plan's ``busy``
-    slots, runs once under the same supervision and shuts it down.
+    keeps a resident-shard cache keyed by ``(epoch, slot)``.  The pool
+    mirrors those caches in its own :class:`ShardCache`
+    (:attr:`shard_cache`, minted by :meth:`start` and dropped by
+    :meth:`shutdown`), so a warm run — one that names its rule set by
+    ``sigma_key``, as a ``ValidationSession`` does — ships only the
+    block-share delta (or nothing at all) and reuses the worker's shard,
+    snapshot and block cache; a run without one ships full shards.
+    :meth:`shutdown` (or the context manager) ends the pool; :meth:`run`
+    needs a started one.
 
     ``processes`` caps the pool size.  ``start_method`` defaults to
     ``"fork"`` where available — workers then share the parent's hash
@@ -1920,6 +1925,8 @@ class MultiprocessExecutor:
         #: defaults + any ``REPRO_FAULT_PLAN`` overrides, resolved per run)
         self.fault_policy = fault_policy
         self._plane: Optional[ShardPlane] = None
+        #: mirror of the workers' resident caches (``None`` while down)
+        self.shard_cache: Optional[ShardCache] = None
         #: worker-resident match-store budget (matches retained per
         #: resident shard); shipped with every full shard payload.
         self.match_store_budget = match_store_budget
@@ -1979,6 +1986,7 @@ class MultiprocessExecutor:
                 RuntimeWarning,
                 stacklevel=2,
             )
+        self.shard_cache = ShardCache()
         for index in range(size):
             proc, parent = self._spawn_worker(index, 0)
             self._procs.append(proc)
@@ -2100,6 +2108,7 @@ class MultiprocessExecutor:
             self._conns.clear()
             self._incarnations.clear()
             self._ready.clear()
+            self.shard_cache = None
             if self._plane is not None:
                 self._plane.close()
                 self._plane = None
@@ -2137,91 +2146,53 @@ class MultiprocessExecutor:
         sigma: Sequence[GFD],
         graph: PropertyGraph,
         plan: Sequence[Sequence[WorkUnit]],
-        shard_cache: Optional[ShardCache] = None,
-        epoch: Optional[str] = None,
         sigma_key: Optional[object] = None,
-        fault_policy: Optional[FaultPolicy] = None,
         plan_key: Optional[PlanKey] = None,
     ) -> List[List[Optional["UnitResult"]]]:
-        """Execute every primary unit in worker processes.
+        """Execute every primary unit in the started pool's workers.
 
         Returns per-worker result lists aligned with ``plan``: one
         :class:`~repro.parallel.engine.UnitResult` per primary unit,
         ``None`` per replica — the same shape :class:`SimulatedExecutor`
-        produces.  On a started pool, ``shard_cache`` turns on warm shard
-        shipping; without one, every run ships full shards.  An unstarted
-        executor starts a pool of ``min(processes or busy, busy)``
-        workers for this run alone and shuts it down afterwards.
-        ``sigma_key`` identifies the rule set so a warm slot reships Σ —
-        and only Σ — when it changed since the slot's last run;
-        ``plan_key`` (a :class:`PlanKey`) likewise identifies ``plan``,
-        so a warm slot that holds it is sent no units.
-        ``fault_policy`` overrides the executor's supervision knobs for
-        this run (see the module docstring's "Fault tolerance").
+        produces.  Shipping is warm through the pool's
+        :attr:`shard_cache` only for a caller that names its rule set:
+        ``sigma_key`` identifies it so a warm slot reships Σ — and only
+        Σ — when it changed since the slot's last run, and the caller
+        promises to record every edit of ``graph`` in between (as
+        ``ValidationSession.update`` does).  With ``sigma_key=None`` the
+        run ships full shards.  ``plan_key`` (a :class:`PlanKey`)
+        likewise identifies ``plan``, so a warm slot that holds it is
+        sent no units.  Supervision follows :attr:`fault_policy`, with any
+        ``REPRO_FAULT_PLAN`` resolved per run (see the module
+        docstring's "Fault tolerance").
         """
+        from .engine import MaterialiserStats
+
+        if not self._procs:
+            raise RuntimeError(
+                "MultiprocessExecutor.run needs a started pool; call "
+                "start() or use the executor as a context manager"
+            )
         primaries: List[List[WorkUnit]] = [
             [unit for unit in worker_units if unit.primary]
             for worker_units in plan
         ]
         busy = [w for w, units in enumerate(primaries) if units]
-        policy = resolve_fault_policy(
-            fault_policy if fault_policy is not None else self.fault_policy
-        )
-        temporary = bool(busy) and not self._procs
-        if temporary:
-            self.start(min(self.processes or len(busy), len(busy)))
-        try:
-            results = self._run_persistent(
-                sigma, graph, primaries, busy, shard_cache, epoch,
-                sigma_key, policy, plan_key,
-            )
-        finally:
-            if temporary:
-                self.shutdown()
-        aligned: List[List[Optional["UnitResult"]]] = []
-        for worker, worker_units in enumerate(plan):
-            worker_results = iter(results.get(worker, ()))
-            aligned.append(
-                [
-                    next(worker_results) if unit.primary else None
-                    for unit in worker_units
-                ]
-            )
-        return aligned
-
-    def _run_persistent(
-        self,
-        sigma: Sequence[GFD],
-        graph: PropertyGraph,
-        primaries: List[List[WorkUnit]],
-        busy: List[int],
-        shard_cache: Optional[ShardCache],
-        epoch: Optional[str],
-        sigma_key: Optional[object] = None,
-        policy: Optional[FaultPolicy] = None,
-        plan_key: Optional[PlanKey] = None,
-    ) -> Dict[int, List["UnitResult"]]:
-        from .engine import MaterialiserStats
-
-        if policy is None:
-            policy = resolve_fault_policy(self.fault_policy)
-        if epoch is None:
-            epoch = next_epoch()
-        if shard_cache is not None:
-            shard_cache.sync(graph)
+        if sigma_key is None:
+            self.shard_cache.invalidate()
+        self.shard_cache.sync(graph)
         stats = ShippingStats(
             match_store=MatchStoreStats(), block_cache=MaterialiserStats(),
             faults=FaultStats(),
         )
         # Shipping decisions, dispatch and supervision (heartbeats,
         # retry/requeue, respawn, degrade) all live in _PersistentRun;
-        # terminal failures tear the pool down exactly like the old
-        # fail-stop path did, so the next run restarts cold.
-        run = _PersistentRun(
-            self, sigma, graph, primaries, busy, shard_cache, epoch,
-            sigma_key, stats, policy, plan_key,
-        )
-        replies = run.execute()
+        # terminal failures shut the pool down, so the next run
+        # restarts cold.
+        replies = _PersistentRun(
+            self, sigma, graph, primaries, busy, sigma_key, stats,
+            resolve_fault_policy(self.fault_policy), plan_key,
+        ).execute()
         results: Dict[int, List["UnitResult"]] = {}
         for _, pid, pairs, store_stats, cache_stats, gc_stats in replies:
             stats.match_store.merge(store_stats)
@@ -2236,55 +2207,13 @@ class MultiprocessExecutor:
                     # the one blob the worker serialised, and we measure
                     stats.payload_bytes += len(payloads_blob)
         self.last_shipping = stats
-        return results
-
-
-def execute_plan(
-    sigma: Sequence[GFD],
-    graph: PropertyGraph,
-    plan: Sequence[Sequence[WorkUnit]],
-    executor: str = "simulated",
-    processes: Optional[int] = None,
-    materialiser: Optional["BlockMaterialiser"] = None,
-    pool: Optional[MultiprocessExecutor] = None,
-    shard_cache: Optional[ShardCache] = None,
-    epoch: Optional[str] = None,
-    sigma_key: Optional[object] = None,
-    match_store: Optional[MatchStore] = None,
-    ship_mode: str = "auto",
-    fault_policy: Optional[FaultPolicy] = None,
-    plan_key: Optional[PlanKey] = None,
-) -> List[List[Optional["UnitResult"]]]:
-    """Execute a plan's primary units with the chosen backend.
-
-    The entry point :func:`~repro.parallel.engine.run_units` builds
-    on: resolves ``executor`` (see :func:`resolve_executor`), runs every
-    primary unit, and returns per-worker result lists aligned with
-    ``plan`` (``None`` for replicas).  ``materialiser`` and
-    ``match_store`` only apply to the simulated backend — worker
-    processes always build their own shard-local materialiser and keep
-    their own resident match stores.  ``pool`` supplies a caller-owned
-    :class:`MultiprocessExecutor` (a session's long-lived pool) for the
-    process backend — without one, a temporary pool serves this run;
-    ``shard_cache``/``epoch`` enable warm shard shipping on a started
-    pool, and ``plan_key`` lets a warm slot run the plan it already
-    holds.  ``ship_mode`` selects how an *ad-hoc* pool ships
-    full shards (see :data:`SHIP_MODES`); a caller-owned ``pool`` keeps
-    the mode it was constructed with.  ``fault_policy`` sets this run's
-    supervision knobs (see the module docstring's "Fault tolerance");
-    the simulated backend runs in-process and ignores it.
-    """
-    resolved = resolve_executor(executor, plan, processes)
-    if resolved == "simulated":
-        backend = SimulatedExecutor(
-            materialiser=materialiser, match_store=match_store
-        )
-        return backend.run(sigma, graph, plan)
-    backend = pool if pool is not None else MultiprocessExecutor(
-        processes=processes, ship_mode=ship_mode
-    )
-    return backend.run(
-        sigma, graph, plan,
-        shard_cache=shard_cache, epoch=epoch, sigma_key=sigma_key,
-        fault_policy=fault_policy, plan_key=plan_key,
-    )
+        aligned: List[List[Optional["UnitResult"]]] = []
+        for worker, worker_units in enumerate(plan):
+            worker_results = iter(results.get(worker, ()))
+            aligned.append(
+                [
+                    next(worker_results) if unit.primary else None
+                    for unit in worker_units
+                ]
+            )
+        return aligned

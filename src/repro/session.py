@@ -15,10 +15,10 @@ amortises it across calls:
   slots are pinned to worker processes, so a warm run talks to the same
   PIDs;
 * **warm shard caches** — each worker process keeps its resident share
-  of the graph between runs (keyed by ``(run_epoch, worker_id)``); a
-  :class:`~repro.parallel.executors.ShardCache` on the coordinator
-  computes the block-share *delta* when consecutive runs reuse a
-  fragmentation, so an unchanged slot ships nothing at all;
+  of the graph between runs; the pool's
+  :class:`~repro.parallel.executors.ShardCache` mirrors them on the
+  coordinator and computes the block-share *delta* when consecutive
+  runs reuse a fragmentation, so an unchanged slot ships nothing at all;
 * a **shared block materialiser** — simulated-backend runs reuse
   materialised blocks (with per-run stats so cluster reports stay
   comparable, see :meth:`~repro.parallel.engine.BlockMaterialiser.
@@ -35,7 +35,7 @@ amortises it across calls:
   mutations through :class:`~repro.core.incremental.IncrementalValidator`
   (on the delta-maintained snapshot backend), reconciling the maintained
   violation set with full runs, and forwards the ops to resident worker
-  shards.
+  shards (only while a pool is up: with no pool, nothing is resident).
 
 The stateless API is now a facade: ``rep_val``/``dis_val`` construct a
 throwaway session per call, so they keep working verbatim and produce
@@ -107,10 +107,9 @@ from .parallel.executors import (
     MatchStoreStats,
     MultiprocessExecutor,
     PlanKey,
-    ShardCache,
     ShippingStats,
+    SimulatedExecutor,
     check_process_knobs,
-    next_epoch,
     resolve_executor,
 )
 from .parallel.faults import FaultPolicy
@@ -265,9 +264,7 @@ class ValidationSession:
         #: process backend, coordinator-side on the simulated one);
         #: ``0`` disables resident-match replay entirely.
         self.match_store_budget = match_store_budget
-        self._epoch = next_epoch("session")
         self._pool: Optional[MultiprocessExecutor] = None
-        self._shard_cache = ShardCache()
         self._materialiser: Optional[BlockMaterialiser] = None
         self._materialiser_version = -1
         # the rule set the shared materialiser last served (Σ swaps keep
@@ -311,7 +308,6 @@ class ValidationSession:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        self._shard_cache.invalidate()
         self._materialiser = None
         self._materialiser_sigma = None
         self._match_store = None
@@ -403,8 +399,8 @@ class ValidationSession:
         ``ops`` are update-op tuples (README, "Update ops").  Violations
         are maintained incrementally (on the delta-applied snapshot
         backend — no full re-validation, no full re-index), and the ops
-        are queued for the worker shard caches so the next
-        process-backed run ships only deltas.  Returns the batch's
+        are queued for the worker shard caches (when a pool is up) so the
+        next process-backed run ships only deltas.  Returns the batch's
         :class:`~repro.core.incremental.UpdateDiff`: iterating it yields
         the newly-introduced violations, ``.removed`` holds the ones the
         batch resolved.
@@ -448,9 +444,8 @@ class ValidationSession:
                 applied += 1
         finally:  # what landed reaches every cache, even if a later op raised
             ops = ops[:applied]
-            for op in ops:
-                self._shard_cache.record(op)
-            self._shard_cache.mark_version(self.graph._version)
+            if self._pool is not None and self._pool.shard_cache is not None:
+                self._pool.shard_cache.record(ops, self.graph._version)
             if self._materialiser is not None:
                 self._materialiser.apply_ops(ops)
                 self._materialiser_version = self.graph._version
@@ -585,16 +580,11 @@ class ValidationSession:
             _charge_data_shipment(
                 probes, fragmentation, plan, cluster, materialiser
             )
-        pool, shard_cache, epoch = self._process_backend(resolved, processes)
-        match_store = (
-            self._shared_match_store() if resolved == "simulated" else None
-        )
-        backend = dict(
-            materialiser=materialiser, executor=resolved,
-            processes=processes, pool=pool, shard_cache=shard_cache,
-            epoch=epoch, sigma_key=probe_key, match_store=match_store,
-            ship_mode=self.ship_mode, fault_policy=self.fault_policy,
-        )
+        if resolved == "simulated":
+            match_store = self._shared_match_store()
+            backend = SimulatedExecutor(materialiser, match_store)
+        else:
+            match_store, backend = None, self._started_pool(processes)
         # Mine units fold matches into mergeable evidence aggregates by
         # default — O(vars × attrs) per unit on the wire instead of
         # O(matches) — and deposit their enumerations in the resident
@@ -612,8 +602,10 @@ class ValidationSession:
              for unit in slot]
             for slot in plan
         ]
-        mine_results = run_units(probes, graph, mine_plan, cluster, **backend)
-        mine_shipping = pool.last_shipping if pool is not None else None
+        mine_results = run_units(
+            probes, graph, mine_plan, cluster, backend, sigma_key=probe_key
+        )
+        mine_shipping = backend.last_shipping
         mine_vf2 = _count_enumerations(mine_results)
 
         # Merge the units' evidence — worker aggregates in the common
@@ -688,11 +680,12 @@ class ValidationSession:
                     for slot in plan
                 ]
                 fetch_results = run_units(
-                    probes, graph, fetch_plan, cluster, **backend
+                    probes, graph, fetch_plan, cluster, backend,
+                    sigma_key=probe_key,
                 )
                 mine_vf2 += _count_enumerations(fetch_results)
-                if pool is not None and mine_shipping is not None:
-                    mine_shipping.merge(pool.last_shipping)
+                if mine_shipping is not None:
+                    mine_shipping.merge(backend.last_shipping)
                 raw_matches, _ = _gather_match_lists(
                     fetch_plan, fetch_results, need_fetch, max_matches
                 )
@@ -779,7 +772,8 @@ class ValidationSession:
             phase_started = time.perf_counter()
             count_cluster = SimulatedCluster(workers, self.cost_model)
             count_results = run_units(
-                probes, graph, count_plan, count_cluster, **backend
+                probes, graph, count_plan, count_cluster, backend,
+                sigma_key=probe_key,
             )
             for slot_units, slot_results in zip(count_plan, count_results):
                 for unit, result in zip(slot_units, slot_results):
@@ -794,7 +788,7 @@ class ValidationSession:
                         for pos, sup, sat in member_counts:
                             tallies[pos][0] += sup
                             tallies[pos][1] += sat
-            count_shipping = pool.last_shipping if pool is not None else None
+            count_shipping = backend.last_shipping
             phases.append(DiscoveryPhase(
                 phase="count",
                 report=count_cluster.report(),
@@ -836,7 +830,7 @@ class ValidationSession:
         if confirm and rules:
             violations, phase = self._confirm_mined(
                 rules, patterns, probes, groups, plan, workers,
-                backend, probe_key,
+                backend, materialiser, match_store, probe_key,
             )
             phases.append(phase)
 
@@ -852,7 +846,7 @@ class ValidationSession:
 
     def _confirm_mined(
         self, rules, patterns, probes, groups, plan, workers,
-        backend, probe_key,
+        backend, materialiser, match_store, probe_key,
     ) -> Tuple[Set[Violation], DiscoveryPhase]:
         """Validate the mined Σ by re-skinning the mining plan.
 
@@ -903,27 +897,24 @@ class ValidationSession:
         ]
         confirm_key = ("sigma:mined", probe_key, tuple(mined))
         phase_started = time.perf_counter()
-        if backend["materialiser"] is not None:
+        if materialiser is not None:
             self._shared_materialiser(confirm_sigma)  # the Σ swap
         cluster = SimulatedCluster(workers, self.cost_model)
         results = run_units(
-            confirm_sigma, self.graph, confirm_plan, cluster,
-            **{**backend, "sigma_key": confirm_key},
+            confirm_sigma, self.graph, confirm_plan, cluster, backend,
+            sigma_key=confirm_key,
         )
         violations: Set[Violation] = set()
         for slot_results in results:
             for result in slot_results:
                 if result is not None:
                     violations |= result.violations
-        pool = backend["pool"]
-        materialiser = backend["materialiser"]
-        match_store = backend["match_store"]
-        shipping = pool.last_shipping if pool is not None else None
+        shipping = backend.last_shipping
         phase = DiscoveryPhase(
             phase="confirm",
             report=cluster.report(),
             num_units=sum(len(slot) for slot in confirm_plan),
-            executor=backend["executor"],
+            executor=backend.name,
             shipping=shipping,
             cache=materialiser.take_stats() if materialiser else None,
             wall_seconds=time.perf_counter() - phase_started,
@@ -1014,23 +1005,20 @@ class ValidationSession:
             self._match_store_version = self.graph._version
         return self._match_store
 
-    def _process_backend(self, resolved: str, processes: Optional[int]):
-        """The (pool, shard_cache, epoch) triple for a process run.
+    def _started_pool(self, processes: Optional[int]) -> MultiprocessExecutor:
+        """The session's started worker pool, for a process run.
 
         A per-call ``processes`` override that differs from the live
-        pool's restarts the pool at the new size; the shard cache is
-        invalidated with it, because slot→process pinning (``w % size``)
-        changes with the size.
+        pool's restarts the pool at the new size — slot→process pinning
+        (``w % size``) changes with the size, and the pool's shard mirror
+        goes with the old pool.
         """
-        if resolved != "process":
-            return None, None, None
         if (
             self._pool is not None
             and self._pool.running
             and processes != self._pool.processes
         ):
             self._pool.shutdown()
-            self._shard_cache.invalidate()
             self._pool = None
         if self._pool is None:
             self._pool = MultiprocessExecutor(
@@ -1039,8 +1027,7 @@ class ValidationSession:
                 ship_mode=self.ship_mode,
                 fault_policy=self.fault_policy,
             )
-        self._pool.start()
-        return self._pool, self._shard_cache, self._epoch
+        return self._pool.start()
 
     def _units(
         self,
@@ -1136,26 +1123,14 @@ class ValidationSession:
         cluster.charge_partitioning(num_units)
 
         resolved = resolve_executor(executor, plan, processes)
-        materialiser = (
-            self._shared_materialiser(self.sigma)
-            if resolved == "simulated" else None
-        )
-        pool, shard_cache, epoch = self._process_backend(resolved, processes)
+        if resolved == "simulated":
+            materialiser = self._shared_materialiser(self.sigma)
+            backend = SimulatedExecutor(materialiser)
+        else:
+            materialiser, backend = None, self._started_pool(processes)
         violations = run_assignment(
-            self.sigma,
-            graph,
-            plan,
-            cluster,
-            materialiser=materialiser,
-            executor=resolved,
-            processes=processes,
-            pool=pool,
-            shard_cache=shard_cache,
-            epoch=epoch,
-            sigma_key=_BASE_SIGMA_KEY,
-            ship_mode=self.ship_mode,
-            fault_policy=self.fault_policy,
-            plan_key=plan_key,
+            self.sigma, graph, plan, cluster, backend,
+            sigma_key=_BASE_SIGMA_KEY, plan_key=plan_key,
         )
         return ValidationRun(
             violations=violations,
@@ -1163,7 +1138,7 @@ class ValidationSession:
             num_units=num_units,
             algorithm=_rep_name(assignment, optimize),
             executor=resolved,
-            shipping=pool.last_shipping if pool is not None else None,
+            shipping=backend.last_shipping,
             cache=materialiser.take_stats() if materialiser else None,
         )
 
@@ -1236,22 +1211,13 @@ class ValidationSession:
         _charge_data_shipment(
             self.sigma, fragmentation, plan, cluster, materialiser
         )
-        pool, shard_cache, epoch = self._process_backend(resolved, processes)
+        backend = (
+            SimulatedExecutor(materialiser) if resolved == "simulated"
+            else self._started_pool(processes)
+        )
         violations = run_assignment(
-            self.sigma,
-            graph,
-            plan,
-            cluster,
-            ship_partial_matches=True,
-            materialiser=materialiser,
-            executor=resolved,
-            processes=processes,
-            pool=pool,
-            shard_cache=shard_cache,
-            epoch=epoch,
-            sigma_key=_BASE_SIGMA_KEY,
-            ship_mode=self.ship_mode,
-            fault_policy=self.fault_policy,
+            self.sigma, graph, plan, cluster, backend,
+            sigma_key=_BASE_SIGMA_KEY, ship_partial_matches=True,
         )
         return ValidationRun(
             violations=violations,
@@ -1259,7 +1225,7 @@ class ValidationSession:
             num_units=len(units),
             algorithm=_dis_name(assignment, optimize),
             executor=resolved,
-            shipping=pool.last_shipping if pool is not None else None,
+            shipping=backend.last_shipping,
             cache=materialiser.take_stats(),
         )
 

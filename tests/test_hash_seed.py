@@ -1,0 +1,99 @@
+"""Hash-seed differential over the process path.
+
+``validate`` and ``discover`` on the supervised worker pool must print
+the same bytes whatever ``PYTHONHASHSEED`` the coordinator (and so its
+forked workers) runs under: set and dict iteration orders change with
+the seed, results may not.  Each command runs in a fresh interpreter
+per seed, so the seed really differs between runs.  The discover phase
+lines' wall-clock readings legitimately differ and are masked before
+comparing.
+
+Known gap (ROADMAP 8(a)): the shipped byte counters that ``discover``
+prints — ``sigma_bytes`` in "shard+sigma byte(s)" and ``payload_bytes``
+in "unit-payload byte(s)" — depend on the hash seed too (CHANGES.md,
+the PR 24 ``FOUND`` line: 20 896 / 20 899 / 20 835 enumerate payload
+bytes over three runs on the perfbench discover inputs; the cause is
+not traced yet).  They are not
+masked: on this graph seeds 0–2 give equal sizes, so the check holds by
+coincidence there.  If a change to the graph, the seeds or the rules
+fails ``test_discover_is_seed_independent`` on those counters alone,
+that is this gap, not a result-ordering bug.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SEEDS = ("0", "1", "2")
+
+PROCESS = ["--executor", "process", "--processes", "2"]
+
+SRC_DIR = Path(repro.__file__).resolve().parents[1]
+
+#: the one run-dependent field of ``discover``'s per-phase lines
+WALL = re.compile(rb"\d+\.\d+s wall")
+
+#: rules that many edges violate, so a seed-dependent order would show
+#: (the generated rules alone find one violation on this graph)
+DENSE_RULES = """
+[same-a0]
+pattern: x -e0-> y
+then: x.A0 = y.A0
+
+[path-a1]
+pattern: x -e1-> y; y -e2-> z
+then: x.A1 = z.A1
+"""
+
+
+def run_cli(args, seed, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), PYTHONHASHSEED=seed)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        cwd=cwd, env=env, capture_output=True, timeout=120,
+    )
+    # validate exits 1 when it finds violations
+    assert result.returncode in (0, 1), result.stderr.decode()
+    return result.stdout
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("hash-seed")
+    run_cli(
+        ["generate", "g.jsonl", "--nodes", "300", "--edges", "600",
+         "--seed", "6", "--domain", "25", "--rules", "5",
+         "--rules-output", "rules.gfd"],
+        "0", cwd,
+    )
+    with open(cwd / "rules.gfd", "a") as rules:
+        rules.write(DENSE_RULES)
+    return cwd
+
+
+def test_validate_json_is_seed_independent(inputs):
+    outputs = [
+        run_cli(["validate", "g.jsonl", "rules.gfd", "--json", *PROCESS],
+                seed, inputs)
+        for seed in SEEDS
+    ]
+    assert outputs[0].count(b'"rule"') > 100  # the run found violations
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_discover_is_seed_independent(inputs):
+    outputs = [
+        WALL.sub(b"<t>s wall", run_cli(["discover", "g.jsonl", *PROCESS],
+                                       seed, inputs))
+        for seed in SEEDS
+    ]
+    assert b"[mined0]" in outputs[0]  # the run mined rules
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

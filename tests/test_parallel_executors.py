@@ -21,6 +21,7 @@ the shared-memory shard plane — same pins, zero-copy transport.
 """
 
 import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -33,10 +34,10 @@ from repro.graph import (
 from repro.parallel import (
     MultiprocessExecutor,
     SimulatedCluster,
+    SimulatedExecutor,
     build_shared_groups,
     dis_val,
     estimate_workload,
-    execute_plan,
     lpt_partition,
     rep_val,
     resolve_executor,
@@ -45,6 +46,8 @@ from repro.parallel import (
     worker_graph,
 )
 from repro.parallel.engine import BlockMaterialiser
+
+from oracle import oracle_det_vio
 
 slow = pytest.mark.slow
 
@@ -165,11 +168,9 @@ class TestPerUnitResults:
             sigma, graph, groups=build_shared_groups(sigma)
         )
         plan, _ = lpt_partition(units, n)
-        sim = execute_plan(sigma, graph, plan, executor="simulated")
-        proc = execute_plan(
-            sigma, graph, plan, executor="process", processes=2,
-            ship_mode=SHIP_MODE,
-        )
+        sim = SimulatedExecutor().run(sigma, graph, plan)
+        with MultiprocessExecutor(processes=2, ship_mode=SHIP_MODE) as pool:
+            proc = pool.run(sigma, graph, plan)
         assert [len(w) for w in sim] == [len(w) for w in proc]
         compared = 0
         for sim_worker, proc_worker in zip(sim, proc):
@@ -201,12 +202,16 @@ class TestSkewedAssignments:
         plan = self._plans(units, 4)[shape]
         reports = {}
         violations = {}
-        for executor in ("simulated", "process"):
+        backends = {
+            "simulated": nullcontext(SimulatedExecutor()),
+            "process": MultiprocessExecutor(processes=2, ship_mode=SHIP_MODE),
+        }
+        for executor, backend in backends.items():
             cluster = SimulatedCluster(4)
-            violations[executor] = run_assignment(
-                sigma, graph, plan, cluster, executor=executor, processes=2,
-                ship_mode=SHIP_MODE,
-            )
+            with backend as started:
+                violations[executor] = run_assignment(
+                    sigma, graph, plan, cluster, started
+                )
             reports[executor] = cluster.report()
         assert violations["simulated"] == expected
         assert violations["process"] == expected
@@ -265,6 +270,87 @@ class TestExecutorResolution:
     def test_invalid_process_count_rejected(self):
         with pytest.raises(ValueError):
             MultiprocessExecutor(processes=0)
+
+
+class TestPoolLifecycle:
+    """A pool runs plans only while started, and its shard mirror lives
+    exactly as long as its workers."""
+
+    def test_run_on_unstarted_pool_raises(self, workloads):
+        graph, sigma, _ = workloads[3]
+        plan, _ = lpt_partition(estimate_workload(sigma, graph), 2)
+        pool = MultiprocessExecutor(processes=1, ship_mode=SHIP_MODE)
+        with pytest.raises(RuntimeError, match="started pool"):
+            pool.run(sigma, graph, plan)
+        assert not pool.running and pool.shard_cache is None
+        with pool:
+            assert pool.shard_cache is not None
+            pool.run(sigma, graph, plan)
+        assert pool.shard_cache is None
+        with pytest.raises(RuntimeError, match="started pool"):
+            pool.run(sigma, graph, plan)
+
+
+def _union(results):
+    return {
+        violation
+        for worker in results for result in worker if result is not None
+        for violation in result.violations
+    }
+
+
+def _set_every_value(graph, value):
+    """Set every attribute to ``value``: an edit that bumps no version."""
+    for node in list(graph.nodes()):
+        for attr in list(graph.attrs(node)):
+            graph.set_attr(node, attr, value)
+
+
+class TestReusedPool:
+    """One caller-started pool, several runs: a run that names no
+    ``sigma_key`` never sees what an earlier run left in the workers.
+
+    Workload 11 has one violation, of ``sigma[1]``; with every value set
+    to ``'v2'`` it has none.
+    """
+
+    def _plan(self, sigma, graph):
+        plan, _ = lpt_partition(estimate_workload(sigma, graph), 2)
+        return plan
+
+    def test_new_rules_on_same_pool(self, workloads):
+        graph, sigma, _ = workloads[11]
+        sigma_a, sigma_b = sigma[2:], sigma[:2]
+        with MultiprocessExecutor(processes=2, ship_mode=SHIP_MODE) as pool:
+            first = pool.run(sigma_a, graph, self._plan(sigma_a, graph))
+            second = pool.run(sigma_b, graph, self._plan(sigma_b, graph))
+        assert _union(first) == oracle_det_vio(sigma_a, graph) == set()
+        assert _union(second) == oracle_det_vio(sigma_b, graph) != set()
+
+    def test_attribute_edit_between_runs(self, workloads):
+        base, sigma, _ = workloads[11]
+        graph = base.copy()
+        plan = self._plan(sigma, graph)
+        with MultiprocessExecutor(processes=2, ship_mode=SHIP_MODE) as pool:
+            before = _union(pool.run(sigma, graph, plan))
+            _set_every_value(graph, "v2")
+            after = _union(pool.run(sigma, graph, plan))
+        assert before == oracle_det_vio(sigma, base)
+        assert after == oracle_det_vio(sigma, graph)
+        assert after != before
+
+    def test_other_graph_at_same_version_ships_full(self, workloads):
+        base, sigma, _ = workloads[11]
+        other = base.copy()
+        _set_every_value(other, "v2")
+        other._version = base._version
+        plan = self._plan(sigma, base)
+        with MultiprocessExecutor(processes=2, ship_mode=SHIP_MODE) as pool:
+            before = _union(pool.run(sigma, base, plan, sigma_key="k"))
+            after = _union(pool.run(sigma, other, plan, sigma_key="k"))
+            assert pool.last_shipping.full == 2
+        assert before == oracle_det_vio(sigma, base) != set()
+        assert after == oracle_det_vio(sigma, other) == set()
 
 
 class TestWorkerGraph:

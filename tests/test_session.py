@@ -302,7 +302,7 @@ class TestWarmRuns:
             session.update([("attr", nodes[0], "A0", "x")])
             session.validate(n=4)  # consumes the op everywhere
             session.validate(n=4)  # sync() compacts the consumed prefix
-            assert session._shard_cache._log == []
+            assert session._pool.shard_cache._log == []
 
     def test_out_of_band_mutation_degrades_to_cold(self, workloads):
         graph, sigma, _ = workloads[3]
@@ -411,6 +411,46 @@ class TestSessionUpdates:
             session.update([("edge+", nodes[0], nodes[1], "e0")])
             assert session.violations == oracle_det_vio(sigma, graph)
             assert session.validate(n=2).violations == session.violations
+
+
+class TestForwardingLog:
+    """Ops are logged for worker shards only while a pool holds any."""
+
+    def test_simulated_session_logs_nothing(self, workloads):
+        base_graph, sigma, _ = workloads[3]
+        graph = base_graph.copy()
+        nodes = list(graph.nodes())
+        with ValidationSession(graph, sigma, executor="simulated") as session:
+            session.validate(n=2)
+            for step in range(3):
+                session.update([
+                    ("attr", nodes[step], "A0", f"v{step}"),
+                    ("edge+", nodes[step], nodes[step + 5], "e0"),
+                ])
+                # no pool, so no mirror to log into
+                assert session._pool is None
+                assert not hasattr(session, "_shard_cache")
+            run = session.validate(n=2)
+        assert run.violations == oracle_det_vio(sigma, graph)
+
+    def test_update_before_first_process_run_ships_full(self, workloads):
+        base_graph, sigma, _ = workloads[3]
+        graph = base_graph.copy()
+        nodes = list(graph.nodes())
+        with ValidationSession(
+            graph, sigma, executor="process", processes=2
+        ) as session:
+            session.update([
+                ("edge+", nodes[0], nodes[1], "e0"),
+                ("attr", nodes[2], "A0", "mutated"),
+            ])
+            # no pool yet, so nothing resident and no mirror to log into
+            assert session._pool is None
+            assert not hasattr(session, "_shard_cache")
+            run = session.validate(n=2)
+        assert run.shipping.full == 2
+        assert run.shipping.delta == 0 and run.shipping.reused == 0
+        assert run.violations == oracle_det_vio(sigma, graph)
 
 
 class TestMaterialiserRunStats:
