@@ -9,9 +9,9 @@ results are dropped, not raised — which is why this is a cross-file
 *project* rule rather than a module lint:
 
 * :class:`ExecuteDispatchRule` (RPL040) — a constructed kind literal
-  (``WorkUnit(kind=...)``, ``replace(unit, kind=...)``, or the
-  dataclass default) with no ``unit.kind == "..."`` branch in
-  ``execute_unit``;
+  (``WorkUnit(kind=...)``, ``UnitPhase(kind=...)``,
+  ``replace(unit, kind=...)``, or the dataclass default) with no
+  ``….kind == "..."`` branch in ``execute_unit``;
 * :class:`ConsolidateDispatchRule` (RPL041) — the same for
   ``consolidate_slot_results``.
 
@@ -39,7 +39,7 @@ from .framework import (
 )
 
 #: call / class names whose ``kind=`` keyword constructs a work-unit kind
-_CONSTRUCTORS = frozenset({"WorkUnit", "replace"})
+_CONSTRUCTORS = frozenset({"WorkUnit", "UnitPhase", "replace"})
 _UNIT_CLASS = "WorkUnit"
 
 #: one construction site: (kind literal, module, AST node)

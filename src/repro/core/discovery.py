@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -159,6 +160,11 @@ def canonical_matches(
     return [dict(match) for match in ordered]
 
 
+def interned(value, _intern=sys.intern):
+    """``value``, as the one interned object if it is a string."""
+    return _intern(value) if value.__class__ is str else value
+
+
 def _ranked_attrs(counter: Counter, limit: int) -> List[str]:
     """Top ``limit`` attrs by count, frequency ties broken by name."""
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -196,6 +202,14 @@ class EvidenceAggregate:
     commutative, so any unit partition of the match multiset (pivot
     candidates partition it exactly) aggregates to the same proposals;
     ``tests/test_discovery_aggregates.py`` locks both properties in.
+
+    The wire form interns attribute names and values on both sides
+    (:meth:`to_payload`, :meth:`from_payload`), and so the literals
+    proposed from a decoded aggregate hold interned strings too.  Pickle
+    writes an object once and refers back to it by identity, and which
+    of several equal strings an aggregate met first follows a block's
+    node order — set iteration, so the hash seed.  With one object per
+    distinct string, the packed bytes depend on the values only.
     """
 
     #: the ``values`` state for "more than one distinct value seen" —
@@ -279,14 +293,25 @@ class EvidenceAggregate:
 
     # -- wire format ---------------------------------------------------
     def to_payload(self) -> tuple:
-        """A deterministic, value-comparable (and compact) wire form."""
+        """A deterministic, value-comparable (and compact) wire form,
+        deterministic in its packed bytes too (see the class docstring).
+        """
+        many = self.MANY
         return (
             self.count,
             tuple(
-                (var, tuple(sorted(counter.items())))
+                (var, tuple(sorted(
+                    (interned(attr), n) for attr, n in counter.items()
+                )))
                 for var, counter in sorted(self.attrs.items())
             ),
-            tuple(sorted(self.values.items(), key=lambda kv: kv[0])),
+            tuple(
+                ((var, interned(attr)),
+                 held if held is many else (interned(held[0]),))
+                for (var, attr), held in sorted(
+                    self.values.items(), key=lambda kv: kv[0]
+                )
+            ),
         )
 
     @classmethod
@@ -294,8 +319,16 @@ class EvidenceAggregate:
         agg = cls()
         count, attrs, values = payload
         agg.count = count
-        agg.attrs = {var: Counter(dict(items)) for var, items in attrs}
-        agg.values = dict(values)
+        agg.attrs = {
+            var: Counter({interned(attr): n for attr, n in items})
+            for var, items in attrs
+        }
+        agg.values = {
+            (var, interned(attr)): (
+                held if held is cls.MANY else (interned(held[0]),)
+            )
+            for (var, attr), held in values
+        }
         return agg
 
     # -- proposal ------------------------------------------------------

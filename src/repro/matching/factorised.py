@@ -377,27 +377,17 @@ class FactorisedPlan:
             rows.append((quotient, cand, totals, by_class))
         return Elimination(rows, ops[0])
 
-    def marginals(
-        self,
-        restrict: Optional[Dict[Variable, int]] = None,
-        stats: Optional[MatchStats] = None,
+    def _marginals(
+        self, elimination: "Elimination"
     ) -> Tuple[int, Dict[Variable, Dict[int, int]]]:
-        """``(count, per-variable injective count vectors)``.
+        """``(count, per-variable injective count vectors)``, read off
+        ``elimination`` once, uncharged.
 
         ``marginals[var][idx]`` is the exact number of injective matches
         mapping ``var`` to node index ``idx`` (entries with positive
         counts only) — the per-pivot count vector pivoted workloads
         aggregate.
         """
-        elimination = self.eliminate(restrict)
-        if stats is not None:
-            stats.steps += elimination.ops
-        return self._marginals(elimination)
-
-    def _marginals(
-        self, elimination: "Elimination"
-    ) -> Tuple[int, Dict[Variable, Dict[int, int]]]:
-        """:meth:`marginals` read off ``elimination``, once, uncharged."""
         if elimination.marginals is not None:
             return elimination.marginals
         count = 0
@@ -437,9 +427,30 @@ class FactorisedPlan:
         only); it may be the full graph or any block containing the
         candidates.
         """
+        return self.evidence_of(graph, self.eliminate(restrict), stats)
+
+    def evidence_of(
+        self,
+        graph,
+        elimination: "Elimination",
+        stats: Optional[MatchStats] = None,
+    ):
+        """:meth:`evidence` over a shared elimination.
+
+        Charged ``elimination.ops``, exactly what a standalone call
+        measures.  The result is a view of the elimination, shared by
+        every later call: read it, do not change it.
+        """
+        if stats is not None:
+            stats.steps += elimination.ops
+        if elimination.evidence is None:
+            elimination.evidence = self._evidence(graph, elimination)
+        return elimination.evidence
+
+    def _evidence(self, graph, elimination: "Elimination"):
         from ..core.discovery import EvidenceAggregate
 
-        count, inj = self.marginals(restrict, stats=stats)
+        count, inj = self._marginals(elimination)
         aggregate = EvidenceAggregate()
         aggregate.count = count
         node_ids = self.snapshot.node_ids
@@ -668,12 +679,15 @@ class Elimination:
     every query that reads them is charged as if it had run the pass
     itself, so a unit's ``steps`` do not depend on how many queries
     share one elimination.  Derived views (the marginals, the pair
-    tables and the per-variable profile rows) are cached here too, so an
-    elimination serves a single pin over a single graph: the block its
-    plan was compiled for.
+    tables, the per-variable profile rows and the evidence) are cached
+    here too, so an elimination serves a single pin over a single graph
+    in a single state: the block its plan was compiled for, until the
+    block changes.
     """
 
-    __slots__ = ("rows", "ops", "marginals", "tables", "var_rows")
+    __slots__ = (
+        "rows", "ops", "marginals", "tables", "var_rows", "evidence",
+    )
 
     def __init__(self, rows, ops: int) -> None:
         self.rows = rows
@@ -681,6 +695,7 @@ class Elimination:
         self.marginals = None
         self.tables: Dict[tuple, tuple] = {}
         self.var_rows: Dict[Variable, list] = {}
+        self.evidence = None
 
 
 class TallyShape(NamedTuple):

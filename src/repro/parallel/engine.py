@@ -18,9 +18,10 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING, Union,
+    Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..graph.graph import NodeId, PropertyGraph
 from ..graph.updates import apply_op, is_structural, op_nodes
+from ..matching.factorised import FactorisedPlan
 from ..matching.locality import candidate_permutations, symmetry_classes
 from ..matching.vf2 import _NO_MATCH, MatchStats, SubgraphMatcher
 from ..core.discovery import EvidenceAggregate, match_items_key
@@ -42,7 +44,7 @@ from ..core.gfd import GFD
 from ..core.satisfaction import match_satisfies_all
 from ..core.validation import Violation, det_vio, make_violation
 from .cluster import ClusterReport, CostModel, SimulatedCluster
-from .workload import WorkUnit
+from .workload import UnitPhase, WorkUnit
 
 #: partial matches are far denser than raw block data: a replica of a
 #: split unit ships roughly this fraction of its block-size equivalent.
@@ -136,6 +138,40 @@ class ValidationRun:
 BLOCK_CACHE_BUDGET = 200_000
 
 
+class _CachedBlock:
+    """One cached block: its induced subgraph and what was compiled on it.
+
+    ``matchers`` maps a leader pattern to its matcher over ``graph``;
+    ``eliminations`` maps the same pattern to the factorised
+    eliminations its matcher's plan produced, per unit assignment (one
+    :class:`~repro.matching.factorised.Elimination` per surviving pin).
+    A pattern's eliminations go whenever its matcher goes.
+    """
+
+    __slots__ = ("graph", "matchers", "eliminations")
+
+    def __init__(self, graph: PropertyGraph) -> None:
+        self.graph = graph
+        self.matchers: Dict[object, SubgraphMatcher] = {}
+        self.eliminations: Dict[object, Dict[tuple, tuple]] = {}
+
+    def drop(self, pattern) -> None:
+        """Forget ``pattern``'s matcher and its eliminations."""
+        self.matchers.pop(pattern, None)
+        self.eliminations.pop(pattern, None)
+
+    def patched(self, structural: bool) -> None:
+        """Forget what an op just applied to ``graph`` made stale.
+
+        Every op drops the eliminations, whose views read attribute
+        values; a structural op also changes candidate sets and plans,
+        so the matchers go too.
+        """
+        self.eliminations.clear()
+        if structural:
+            self.matchers.clear()
+
+
 class BlockMaterialiser:
     """Per-run size-bounded LRU cache of data blocks and their matchers.
 
@@ -159,13 +195,28 @@ class BlockMaterialiser:
     bounded by the patterns of two rule sets; they also go when the
     block is evicted, or when a structural op patches it.
 
+    Beside each matcher the block keeps the factorised eliminations its
+    plan produced (:meth:`eliminations`).  An elimination is a pure
+    function of the plan and the pin, so discovery's count phase reuses
+    what its enumerate phase computed, and a warm discover recomputes
+    nothing.
+    An elimination holds, per quotient of its plan, one candidate list
+    and one marginal per class — ``O(quotients · |Q| · |block|)``, with
+    at most five quotients for discovery's three-variable patterns —
+    plus the views read off it: pair tables keyed by attribute
+    profiles, per-variable rows and the evidence.  A block retains at
+    most one elimination per pin of each unit run over it, for each
+    retained matcher's pattern.  They go when their matcher goes, and
+    also on any op that patches the block, since their views read
+    attribute values.
+
     Concurrency semantics (the coordinator path): one materialiser may be
     shared by concurrently running workers (e.g. the thread-backed
     :func:`~repro.parallel.cluster.run_concurrently` demo).  All cache
     state — the LRU order, the retained-size accounting against the
-    single shared budget, and the per-block matcher tables — is guarded
-    by one reentrant lock, and a block or matcher is *built while holding
-    it*: two workers requesting the same block serialise on the lock and
+    single shared budget, and the per-block matcher and elimination
+    tables — is guarded by one reentrant lock, and a block, matcher or
+    elimination is *built while holding it*: two workers requesting the same block serialise on the lock and
     the second finds the first's entry, so no duplicate snapshot builds
     occur and ``retained`` never drifts from the cache contents.  Builds
     of *distinct* blocks therefore also serialise — acceptable on the
@@ -195,7 +246,7 @@ class BlockMaterialiser:
         self._lock = threading.RLock()
         self._run_stats = MaterialiserStats()  #: guarded-by: _lock
         #: guarded-by: _lock
-        self._cache: "OrderedDict[FrozenSet[NodeId], Tuple[PropertyGraph, Dict[object, SubgraphMatcher]]]" = (
+        self._cache: "OrderedDict[FrozenSet[NodeId], _CachedBlock]" = (
             OrderedDict()
         )
 
@@ -227,9 +278,9 @@ class BlockMaterialiser:
         with the last one stays compiled and nothing older lingers.
         """
         with self._lock:
-            for _, matchers in self._cache.values():
-                for pattern in [p for p in matchers if p not in patterns]:
-                    del matchers[pattern]
+            for entry in self._cache.values():
+                for pattern in [p for p in entry.matchers if p not in patterns]:
+                    entry.drop(pattern)
 
     def apply_ops(self, ops: "Sequence[tuple]") -> int:
         """Patch cached blocks in place for a batch of graph update ops.
@@ -238,10 +289,10 @@ class BlockMaterialiser:
         so an op affects it iff the set holds every one of its
         :func:`~repro.graph.updates.op_nodes` (a genuinely new node is
         in no key).  Affected blocks are patched in place — snapshots
-        follow via ``apply_delta`` — and only *their* matchers are
-        dropped, only on structural ops.  Every other block, snapshot and
-        matcher stays warm, which keeps a warm cache O(|Δ|) under update
-        streams.  Returns the number of (op, block) patches applied; the
+        follow via ``apply_delta`` — and only *their* eliminations are
+        dropped, with their matchers on structural ops.  Every other
+        block, snapshot and matcher stays warm, which keeps a warm cache
+        O(|Δ|) under update streams.  Returns the number of (op, block) patches applied; the
         count also lands in ``patched`` and the per-run stats slice.
         """
         patched = 0
@@ -255,25 +306,27 @@ class BlockMaterialiser:
                 for key in self._cache:
                     if first not in key or last not in key:
                         continue
-                    block, matchers = self._cache[key]
+                    entry = self._cache[key]
+                    block = entry.graph
                     before = block.size
                     apply_op(block, op)
                     self._retained += block.size - before
-                    if structural:
-                        matchers.clear()
+                    entry.patched(structural)
                     patched += 1
             self.patched += patched
             self._run_stats.patched += patched
-            while self._retained > self.budget and len(self._cache) > 1:
-                _, (evicted, _) = self._cache.popitem(last=False)
-                self._retained -= evicted.size
-                self.evictions += 1
-                self._run_stats.evictions += 1
+            self._evict()
         return patched
 
-    def _entry(
-        self, block_nodes: Set[NodeId]
-    ) -> Tuple[PropertyGraph, Dict[object, SubgraphMatcher]]:
+    def _evict(self) -> None:  #: holds: _lock
+        """Drop least-recently-used blocks until the budget holds."""
+        while self._retained > self.budget and len(self._cache) > 1:
+            _, evicted = self._cache.popitem(last=False)
+            self._retained -= evicted.graph.size
+            self.evictions += 1
+            self._run_stats.evictions += 1
+
+    def _entry(self, block_nodes: Set[NodeId]) -> _CachedBlock:
         key = frozenset(block_nodes)
         with self._lock:
             entry = self._cache.get(key)
@@ -284,21 +337,17 @@ class BlockMaterialiser:
                 return entry
             block = self.graph.induced_subgraph(block_nodes)
             block.snapshot()  # one snapshot per materialised block
-            entry = (block, {})
+            entry = _CachedBlock(block)
             self._cache[key] = entry
             self.builds += 1
             self._run_stats.builds += 1
             self._retained += block.size
-            while self._retained > self.budget and len(self._cache) > 1:
-                _, (evicted, _) = self._cache.popitem(last=False)
-                self._retained -= evicted.size
-                self.evictions += 1
-                self._run_stats.evictions += 1
+            self._evict()
             return entry
 
     def block(self, block_nodes: Set[NodeId]) -> PropertyGraph:
         """The induced subgraph for ``block_nodes`` (cached, snapshot warm)."""
-        return self._entry(block_nodes)[0]
+        return self._entry(block_nodes).graph
 
     def matcher(
         self, sigma: Sequence[GFD], leader_index: int, block_nodes: Set[NodeId]
@@ -312,14 +361,42 @@ class BlockMaterialiser:
         different pattern, and identical patterns across rule sets share
         one compiled matcher per block.
         """
-        block, matchers = self._entry(block_nodes)
+        entry = self._entry(block_nodes)
         pattern = sigma[leader_index].pattern
         with self._lock:
-            matcher = matchers.get(pattern)
+            matcher = entry.matchers.get(pattern)
             if matcher is None:
-                matcher = SubgraphMatcher(pattern, block)
-                matchers[pattern] = matcher
-        return block, matcher
+                matcher = SubgraphMatcher(pattern, entry.graph)
+                entry.matchers[pattern] = matcher
+        return entry.graph, matcher
+
+    def eliminations(
+        self,
+        block_nodes: Set[NodeId],
+        matcher: SubgraphMatcher,
+        assignment: tuple,
+        eliminate: Callable[[], tuple],
+    ) -> tuple:
+        """A unit's per-pin eliminations, kept beside ``matcher``.
+
+        ``assignment`` is the unit's pivot candidate, which fixes its
+        pins; ``eliminate`` computes them on a miss.  They are kept
+        only while ``matcher`` is the block's matcher for its pattern,
+        so they never outlive it (see the class docstring); a block
+        evicted since ``matcher`` was handed out keeps nothing.
+        """
+        with self._lock:
+            entry = self._cache.get(frozenset(block_nodes))
+            pattern = matcher.pattern
+            if entry is None or entry.matchers.get(pattern) is not matcher:
+                return eliminate()
+            per_unit = entry.eliminations.get(pattern)
+            if per_unit is None:
+                per_unit = entry.eliminations[pattern] = {}
+            found = per_unit.get(assignment)
+            if found is None:
+                found = per_unit[assignment] = eliminate()
+            return found
 
 
 def execute_unit(
@@ -349,14 +426,18 @@ def execute_unit(
     and cost reports are replay-invariant; an evicted or never-stored
     entry transparently falls back to enumeration.
 
-    A whole slot runs through :func:`run_slot` instead, which resolves
-    each group's pattern-level work once rather than once per unit.
+    The result is what a one-unit slot of :func:`run_slot` gives, its
+    payload in the wire form.  A whole slot runs through
+    :func:`run_slot` instead, which resolves each group's pattern-level
+    work once rather than once per unit.
     """
     if materialiser is None:
         materialiser = BlockMaterialiser(graph)
-    return _Group(sigma, unit.group).execute_unit(
+    result = _Group(sigma, unit.group, UnitPhase.of(unit)).execute_unit(
         unit, materialiser, match_store
     )
+    consolidate_slot_results((unit,), (result,))
+    return result
 
 
 class _Group:
@@ -364,28 +445,48 @@ class _Group:
 
     Every unit of a group runs the same leader pattern over its own
     block, so the leader, its members and its pivot's symmetry classes
-    depend on the group alone.  When every class is a singleton (a
-    one-entry pivot, or one whose components are pairwise
-    non-isomorphic), a candidate tuple has exactly one permutation —
-    itself — so a unit pins its own assignment instead of re-expanding
-    it.  Holds no per-unit state: results,
-    ``steps`` and the match-store traffic of a unit are what
+    depend on the group alone, and so do the kind, inputs and eval mode
+    the run's :class:`~repro.parallel.workload.UnitPhase` gives it.
+    When every class is a singleton (a one-entry pivot, or one whose
+    components are pairwise non-isomorphic), a candidate tuple has
+    exactly one permutation — itself — so a unit pins its own
+    assignment instead of re-expanding it.  A count group compiles its
+    members' tally shapes on first use.  Holds no per-unit state:
+    results, ``steps`` and the match-store traffic of a unit are what
     :func:`execute_unit` gives it alone.
     """
 
     __slots__ = ("sigma", "leader_index", "pattern", "pivot", "members",
-                 "direct")
+                 "direct", "kind", "eval_mode", "given", "payload",
+                 "_shapes")
 
-    def __init__(self, sigma: Sequence[GFD], group) -> None:
+    def __init__(
+        self, sigma: Sequence[GFD], group, phase: UnitPhase
+    ) -> None:
         leader = sigma[group.leader_index]
         self.sigma = sigma
         self.leader_index = group.leader_index
         self.pattern = leader.pattern
         self.pivot = leader.pivot
-        self.members = group.members
+        self.members = phase.groups.get(group.leader_index, group).members
         self.direct = all(
             len(members) == 1
             for members in symmetry_classes(leader.pattern, leader.pivot)
+        )
+        self.kind = phase.kind
+        self.eval_mode = phase.eval_mode
+        self.given = payload = phase.payloads.get(group.leader_index)
+        if self.kind == "count":
+            payload = _derived_count_payload(payload, self.members)
+        self.payload = payload
+        self._shapes = None
+
+    def names(self, unit: WorkUnit) -> bool:
+        """Whether ``unit``'s own fields name this group's phase."""
+        return (
+            unit.kind == self.kind
+            and unit.eval_mode == self.eval_mode
+            and (unit.payload is self.given or unit.payload == self.given)
         )
 
     def execute_unit(
@@ -394,13 +495,13 @@ class _Group:
         materialiser: BlockMaterialiser,
         match_store: Optional["MatchStore"],
     ) -> UnitResult:
-        if unit.kind == "detect":
+        if self.kind == "detect":
             return _execute_detect(self, unit, materialiser, match_store)
-        if unit.kind == "mine":
+        if self.kind == "mine":
             return _execute_mine(self, unit, materialiser, match_store)
-        if unit.kind == "count":
+        if self.kind == "count":
             return _execute_count(self, unit, materialiser, match_store)
-        raise ValueError(f"unknown work-unit kind {unit.kind!r}")
+        raise ValueError(f"unknown work-unit kind {self.kind!r}")
 
     def pins(self, unit: WorkUnit):
         """The unit's candidate tuple re-expanded over symmetry classes."""
@@ -417,6 +518,14 @@ class _Group:
             self.sigma, self.leader_index, unit.block_nodes
         )
 
+    def tally_shapes(self) -> list:
+        """Each member's count payload compiled by ``compile_tallies``."""
+        if self._shapes is None:
+            self._shapes = [
+                FactorisedPlan.compile_tallies(deps) for deps in self.payload
+            ]
+        return self._shapes
+
 
 def run_slot(
     sigma: Sequence[GFD],
@@ -425,6 +534,7 @@ def run_slot(
     match_store: Optional["MatchStore"] = None,
     faults: Optional["WorkerFaultContext"] = None,
     progress: Optional[List[int]] = None,
+    phase: Optional[UnitPhase] = None,
 ) -> List[Optional[UnitResult]]:
     """Execute one plan slot's primary units; replicas map to ``None``.
 
@@ -433,14 +543,15 @@ def run_slot(
     classes are resolved on its first unit and reused by the rest, while
     every unit keeps its own :class:`MatchStats` — so each unit's
     ``steps``, and with them the cost report, are what
-    :func:`execute_unit` measures.  ``faults`` (a worker's fault
-    injection triggers) is consulted before every unit, and
-    ``progress[0]`` — the counter a worker's heartbeat reports — ticks
-    after each.  The slot-level payload passes (count-payload
-    derivation, per-group result folding) run here too, so both
-    backends consume and produce identically-shaped unit payloads.
+    :func:`execute_unit` measures.  ``phase`` gives every unit its kind,
+    inputs and eval mode; without one, each unit's own fields do.
+    ``faults`` (a worker's fault injection triggers) is consulted before
+    every unit, and ``progress[0]`` — the counter a worker's heartbeat
+    reports — ticks after each.  The slot-level payload passes
+    (count-payload derivation, per-group result folding) run here too,
+    so both backends consume and produce identically-shaped unit
+    payloads.
     """
-    units = expand_count_payloads(units)
     groups: Dict[int, _Group] = {}
     results: List[Optional[UnitResult]] = []
     for unit in units:
@@ -450,12 +561,15 @@ def run_slot(
         if faults is not None:
             faults.before_unit()
         group = groups.get(id(unit.group))
-        if group is None:
-            group = groups[id(unit.group)] = _Group(sigma, unit.group)
+        if group is None or (phase is None and not group.names(unit)):
+            group = groups[id(unit.group)] = _Group(
+                sigma, unit.group,
+                phase if phase is not None else UnitPhase.of(unit),
+            )
         results.append(group.execute_unit(unit, materialiser, match_store))
         if progress is not None:
             progress[0] += 1
-    consolidate_slot_results(units, results)
+    consolidate_slot_results(units, results, phase)
     return results
 
 
@@ -503,7 +617,7 @@ def _execute_detect(
     """Local error detection (the original unit semantics).
 
     With a match store, a unit whose enumeration is resident (discovery's
-    ``confirm`` phase re-skins mining units as ``detect``) replays it —
+    ``confirm`` phase runs mining units as ``detect``) replays it —
     the mined-Σ validation pass then runs zero VF2 on warm blocks.
     """
     replay = _replayed(group, unit, materialiser, match_store)
@@ -530,6 +644,28 @@ def _execute_detect(
         steps=steps if replay is not None else stats.steps,
         block_size=unit.block_size,
         enumerated=replay is None,
+    )
+
+
+def _eliminations(group, unit, materialiser, matcher, plan) -> tuple:
+    """The unit's per-pin eliminations, resident beside its matcher.
+
+    Computed on first use — one :meth:`FactorisedPlan.eliminate` per
+    pin the matcher admits — and served from the block cache after
+    that, to every phase and every later run (see
+    :meth:`BlockMaterialiser.eliminations`).
+    """
+
+    def eliminate() -> tuple:
+        out = []
+        for pinned in group.pins(unit):
+            restrict = matcher._pin_indices(pinned)
+            if restrict is not _NO_MATCH:
+                out.append(plan.eliminate(restrict))
+        return tuple(out)
+
+    return materialiser.eliminations(
+        unit.block_nodes, matcher, unit.assignment, eliminate
     )
 
 
@@ -561,18 +697,17 @@ def _factorised_mine(
     stats = MatchStats()
     count = 0
     aggregate = EvidenceAggregate()
-    for pinned in group.pins(unit):
-        restrict = matcher._pin_indices(pinned)
-        if restrict is _NO_MATCH:
-            continue
-        pin_count, pin_aggregate = plan.evidence(block, restrict, stats=stats)
+    for elimination in _eliminations(group, unit, materialiser, matcher, plan):
+        pin_count, pin_aggregate = plan.evidence_of(
+            block, elimination, stats=stats
+        )
         count += pin_count
         aggregate.merge(pin_aggregate)
     return UnitResult(
         violations=set(),
         steps=stats.steps,
         block_size=unit.block_size,
-        payload=("agg", count, aggregate.to_payload()),
+        payload=("agg", count, aggregate),
     )
 
 
@@ -580,7 +715,6 @@ def _factorised_count(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-    member_deps,
     strict: bool,
 ) -> Optional[UnitResult]:
     """The count-unit tallies by factorised evaluation, if possible.
@@ -592,10 +726,7 @@ def _factorised_count(
     """
     block, matcher = group.matcher(materialiser, unit)
     plan = matcher.factorised_plan()
-    shapes = (
-        [plan.compile_tallies(deps) for deps in member_deps]
-        if plan is not None else None
-    )
+    shapes = group.tally_shapes() if plan is not None else None
     if shapes is None or any(shape is None for shape in shapes):
         if strict:
             raise ValueError(
@@ -603,15 +734,12 @@ def _factorised_count(
                 "(cyclic pattern or unsupported dependency forms)"
             )
         return None
+    member_deps = group.payload
     stats = MatchStats()
     counts = [[[0, 0] for _ in deps] for deps in member_deps]
-    for pinned in group.pins(unit):
-        restrict = matcher._pin_indices(pinned)
-        if restrict is _NO_MATCH:
-            continue
-        # One elimination per pin serves every member's tallies; each
-        # member is still charged what its own elimination would cost.
-        elimination = plan.eliminate(restrict)
+    # One elimination per pin serves every member's tallies; each member
+    # is still charged what its own elimination would cost.
+    for elimination in _eliminations(group, unit, materialiser, matcher, plan):
         for member_pos, (deps, shape) in enumerate(zip(member_deps, shapes)):
             tallies = plan.tallies(
                 block, deps, shape, elimination, stats=stats
@@ -695,13 +823,14 @@ def _execute_mine(
     candidate), so merging unit payloads over a plan covers every match
     of the leader pattern exactly once.
 
-    ``unit.payload`` is ``(max_matches, mode)``:
+    The group's payload is ``(max_matches, mode)``:
 
     * ``mode="aggregate"`` (discovery's default): matches are folded
       worker-side into a mergeable
       :class:`~repro.core.discovery.EvidenceAggregate` and the unit
-      ships ``("agg", count, aggregate_payload)`` — ``O(vars × attrs)``
-      however many matches the block holds.  The enumerated matches are
+      returns ``("agg", count, aggregate)``, which its slot folds and
+      ships encoded (:func:`consolidate_slot_results`) —
+      ``O(vars × attrs)`` however many matches the block holds.  The enumerated matches are
       deposited in ``match_store`` (budget permitting) so the later
       ``count``/``confirm`` phases replay them.
     * ``mode="matches"``: the match list itself ships — the documented
@@ -725,7 +854,7 @@ def _execute_mine(
     fallback re-requesting matches the aggregate pass already
     enumerated) replays instead of re-running VF2 on either mode.
     """
-    payload_in = unit.payload or ()
+    payload_in = group.payload or ()
     cap = payload_in[0] if payload_in else None
     mode = payload_in[1] if len(payload_in) > 1 else "matches"
     members = group.members
@@ -737,7 +866,7 @@ def _execute_mine(
             aggregate = EvidenceAggregate()
             for match_items in items:
                 aggregate.add(block, dict(match_items))
-            payload = ("agg", len(items), aggregate.to_payload())
+            payload = ("agg", len(items), aggregate)
         else:
             payload = _match_list_payload(items, len(items), cap, members)
         return UnitResult(
@@ -747,10 +876,10 @@ def _execute_mine(
             payload=payload,
         )
 
-    if mode == "aggregate" and unit.eval_mode != "enumerate":
+    if mode == "aggregate" and group.eval_mode != "enumerate":
         result = _factorised_mine(
             group, unit, materialiser,
-            strict=unit.eval_mode == "factorised",
+            strict=group.eval_mode == "factorised",
         )
         if result is not None:
             return result
@@ -781,7 +910,7 @@ def _execute_mine(
             violations=set(),
             steps=stats.steps,
             block_size=unit.block_size,
-            payload=("agg", count, aggregate.to_payload()),
+            payload=("agg", count, aggregate),
             enumerated=True,
         )
 
@@ -849,7 +978,7 @@ def _execute_count(
 ) -> UnitResult:
     """Discovery's counting phase: tally proposed dependencies.
 
-    ``unit.payload`` carries, per group member, the member's proposed
+    The group's payload carries, per member, the member's proposed
     ``(lhs, rhs)`` candidates *rewritten into leader variable space* (the
     same alignment detection uses), so one pinned enumeration of the
     leader pattern serves every member's tallies.  The result payload is
@@ -861,9 +990,11 @@ def _execute_count(
 
     On a warm shard the enumeration the ``mine`` phase deposited in the
     match store replays here — the counting phase of a persistent-pool
-    ``discover()`` runs zero VF2 on resident blocks.
+    ``discover()`` runs zero VF2 on resident blocks.  On the factorised
+    path the ``mine`` phase's eliminations, resident beside the block's
+    matcher, serve here the same way.
     """
-    member_deps = unit.payload or ()
+    member_deps = group.payload
     counts = [
         [[0, 0] for _ in deps] for deps in member_deps
     ]
@@ -872,10 +1003,10 @@ def _execute_count(
         steps, items, block = replay
         matches = (dict(match_items) for match_items in items)
     else:
-        if unit.eval_mode != "enumerate":
+        if group.eval_mode != "enumerate":
             result = _factorised_count(
-                group, unit, materialiser, member_deps,
-                strict=unit.eval_mode == "factorised",
+                group, unit, materialiser,
+                strict=group.eval_mode == "factorised",
             )
             if result is not None:
                 return result
@@ -899,62 +1030,47 @@ def _execute_count(
     )
 
 
-def expand_count_payloads(units: Sequence[WorkUnit]) -> List[WorkUnit]:
-    """Materialise ``("derive", …)`` count payloads into concrete deps.
+def _derived_count_payload(payload, members) -> tuple:
+    """A count group's payload with ``("derive", …)`` recipes materialised.
 
-    The counting phase's unit inputs are, in the aggregate data path,
+    The counting phase's inputs are, in the aggregate data path,
     *recipes* rather than literal lists: ``("derive", variables,
     aggregate_payload, max_attrs)`` per group member.  Re-deriving the
     candidate list locally — via the deterministic
     :meth:`~repro.core.discovery.EvidenceAggregate.propose_for_variables`
     — reproduces the coordinator's proposals exactly (same positions,
     same literals), so a slot ships one compact aggregate per pattern
-    instead of ``O(proposals)`` literal objects.  Derivation is cached
-    per payload object (units of a shared group reference one payload),
-    and the derived deps are rewritten into leader variable space
-    through each member's stored alignment, exactly as the coordinator
-    used to ship them.  Units with concrete payloads pass through
-    untouched (the match-shipping fallback keeps the explicit form —
-    sampled proposals are not a pure function of the aggregate).
+    instead of ``O(proposals)`` literal objects.  The derived deps are
+    rewritten into leader variable space through each member's stored
+    alignment, exactly as the coordinator used to ship them.  Concrete
+    member payloads pass through untouched (the match-shipping fallback
+    keeps the explicit form — sampled proposals are not a pure function
+    of the aggregate).  Runs once per group and slot.
     """
-    derived_cache: Dict[int, tuple] = {}
-    out: List[WorkUnit] = []
-    for unit in units:
-        payload = unit.payload
-        if (
-            unit.kind != "count"
-            or not payload
-            or not any(spec and spec[0] == "derive" for spec in payload)
-        ):
-            out.append(unit)
+    member_deps = []
+    for spec, member in zip(payload or (), members):
+        if not spec or spec[0] != "derive":
+            member_deps.append(spec or ())
             continue
-        concrete = derived_cache.get(id(payload))
-        if concrete is None:
-            member_deps = []
-            for spec, member in zip(payload, unit.group.members):
-                if not spec or spec[0] != "derive":
-                    member_deps.append(spec or ())
-                    continue
-                _, variables, aggregate_payload, max_attrs = spec
-                aggregate = EvidenceAggregate.from_payload(aggregate_payload)
-                inverse = {v: k for k, v in member.iso.items()}
-                member_deps.append(tuple(
-                    (
-                        tuple(lit.rename(inverse) for lit in lhs),
-                        tuple(lit.rename(inverse) for lit in rhs),
-                    )
-                    for lhs, rhs in aggregate.propose_for_variables(
-                        variables, max_attrs
-                    )
-                ))
-            concrete = tuple(member_deps)
-            derived_cache[id(payload)] = concrete
-        out.append(replace(unit, payload=concrete))
-    return out
+        _, variables, aggregate_payload, max_attrs = spec
+        aggregate = EvidenceAggregate.from_payload(aggregate_payload)
+        inverse = {v: k for k, v in member.iso.items()}
+        member_deps.append(tuple(
+            (
+                tuple(lit.rename(inverse) for lit in lhs),
+                tuple(lit.rename(inverse) for lit in rhs),
+            )
+            for lhs, rhs in aggregate.propose_for_variables(
+                variables, max_attrs
+            )
+        ))
+    return tuple(member_deps)
 
 
 def consolidate_slot_results(
-    units: Sequence[WorkUnit], results: Sequence[Optional[UnitResult]]
+    units: Sequence[WorkUnit],
+    results: Sequence[Optional[UnitResult]],
+    phase: Optional[UnitPhase] = None,
 ) -> None:
     """Fold one slot's mergeable result payloads per shared group, in place.
 
@@ -968,7 +1084,12 @@ def consolidate_slot_results(
     mine, ``()`` for count — both no-ops for the coordinator's gather).
     Match-shipping mine payloads pass through unmerged: the capped
     fallback needs per-unit granularity for its per-member canonical
-    caps.
+    caps.  A mine unit hands its aggregate over as the object itself,
+    and each carrier encodes the merged one once
+    (:meth:`~repro.core.discovery.EvidenceAggregate.to_payload`), so a
+    slot encodes one aggregate per group, not one per unit; results
+    already in the wire form (:func:`execute_unit` gives them so) are
+    decoded to fold.
 
     ``detect`` units fold the same way: their violation sets merge as a
     plain union, so a slot ships each distinct violation once per group
@@ -976,6 +1097,9 @@ def consolidate_slot_results(
     pivot candidates of one group re-find the same violating matches).
     The coordinator's gather unions every result's violations anyway, so
     folding is invisible to it — only the reply volume shrinks.
+
+    ``phase`` is the run's :class:`~repro.parallel.workload.UnitPhase`,
+    if it named the units' kind; otherwise each unit's own does.
     """
     mine_carriers: Dict[int, list] = {}
     count_carriers: Dict[int, list] = {}
@@ -983,7 +1107,8 @@ def consolidate_slot_results(
     for unit, result in zip(units, results):
         if result is None:
             continue
-        if unit.kind == "detect":
+        named = unit if phase is None else phase
+        if named.kind == "detect":
             carrier = detect_carriers.get(id(unit.group))
             if carrier is None:
                 detect_carriers[id(unit.group)] = result
@@ -994,23 +1119,17 @@ def consolidate_slot_results(
         if result.payload is None:
             continue
         gid = id(unit.group)
-        if unit.kind == "mine" and result.payload[0] == "agg":
+        if named.kind == "mine" and result.payload[0] == "agg":
             entry = mine_carriers.get(gid)
             if entry is None:
                 mine_carriers[gid] = [
-                    result,
-                    result.payload[1],
-                    EvidenceAggregate.from_payload(result.payload[2]),
-                    False,
+                    result, result.payload[1], result.payload[2],
                 ]
             else:
                 entry[1] += result.payload[1]
-                entry[2].merge(
-                    EvidenceAggregate.from_payload(result.payload[2])
-                )
-                entry[3] = True
+                entry[2] = _live(entry[2]).merge(_live(result.payload[2]))
                 result.payload = None
-        elif unit.kind == "count":
+        elif named.kind == "count":
             entry = count_carriers.get(gid)
             if entry is None:
                 count_carriers[gid] = [
@@ -1032,8 +1151,8 @@ def consolidate_slot_results(
                             slot_tally[1] += sat
                 entry[2] = True
                 result.payload = ()
-    for result, count, aggregate, folded in mine_carriers.values():
-        if folded:
+    for result, count, aggregate in mine_carriers.values():
+        if aggregate.__class__ is EvidenceAggregate:
             result.payload = ("agg", count, aggregate.to_payload())
     for result, tallies, folded in count_carriers.values():
         if folded:
@@ -1046,6 +1165,13 @@ def consolidate_slot_results(
             )
 
 
+def _live(aggregate) -> EvidenceAggregate:
+    """An ``"agg"`` payload's aggregate, decoded if in the wire form."""
+    if aggregate.__class__ is EvidenceAggregate:
+        return aggregate
+    return EvidenceAggregate.from_payload(aggregate)
+
+
 def run_units(
     sigma: Sequence[GFD],
     graph: PropertyGraph,
@@ -1054,6 +1180,7 @@ def run_units(
     backend: Union["SimulatedExecutor", "MultiprocessExecutor"],
     sigma_key: Optional[object] = None,
     plan_key: Optional["PlanKey"] = None,
+    phase: Optional[UnitPhase] = None,
 ) -> List[List[Optional["UnitResult"]]]:
     """Execute a plan on ``backend`` and return the per-unit results,
     charging costs.
@@ -1072,12 +1199,16 @@ def run_units(
     (a session's supervised pool, shipping warm through its own shard
     mirror).  ``sigma_key`` and ``plan_key`` name the rule set and the
     plan, so warm worker slots that already hold them are sent neither.
+    ``phase`` gives every unit its kind, inputs and eval mode (see
+    :class:`~repro.parallel.workload.UnitPhase`); it travels once per
+    slot, apart from the units.
     Cost charging happens on the coordinator from the per-unit
     measurements either way, so both backends — recovered process runs
     included — yield identical results *and* identical cluster reports.
     """
     results = backend.run(
-        sigma, graph, plan, sigma_key=sigma_key, plan_key=plan_key
+        sigma, graph, plan, sigma_key=sigma_key, plan_key=plan_key,
+        phase=phase,
     )
     for worker, worker_units in enumerate(plan):
         for unit, result in zip(worker_units, results[worker]):

@@ -121,7 +121,7 @@ import time
 import traceback
 import warnings
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 from typing import (
@@ -139,7 +139,7 @@ from .faults import (
     WorkerFaultContext,
     resolve_fault_policy,
 )
-from .workload import WorkUnit
+from .workload import UnitPhase, WorkUnit
 
 try:  # pragma: no cover - present on every supported CPython
     from multiprocessing import resource_tracker, shared_memory
@@ -690,8 +690,9 @@ class ShippingStats:
     ``sigma_bytes`` the rule sets shipped (full shipments and warm
     Σ-swaps alike), ``shard_bytes`` the block-share payloads (pickled
     full shards and deltas), and ``payload_bytes`` the work units'
-    kind-specific data path — unit input payloads coordinator→worker
-    plus result payloads worker→coordinator.  Discovery's
+    kind-specific data path — the run's
+    :class:`~repro.parallel.workload.UnitPhase` coordinator→worker (once
+    per slot) plus result payloads worker→coordinator.  Discovery's
     aggregate-vs-match-list shipping win is the ``payload_bytes`` delta.
     ``plan_bytes`` measures the work-unit lists themselves (one packed
     blob per slot that ships its plan): a warm slot that already holds
@@ -1009,9 +1010,9 @@ class _ResidentShard:
     mapped shard is backed by (``None`` on the pickle path), closed via
     :meth:`release_segment` when the shard is dropped or patched.
 
-    ``plan`` is the slot's last shipped unit list (without unit input
-    payloads, which travel per run): a task that ships no units runs
-    this one, as the coordinator's :class:`ShardCache` mirror decided.
+    ``plan`` is the slot's last shipped unit list (the run's phase, if
+    any, travels per run): a task that ships no units runs this one, as
+    the coordinator's :class:`ShardCache` mirror decided.
     """
 
     __slots__ = (
@@ -1060,42 +1061,25 @@ class _ResidentShard:
         self.segment = None
 
 
-def _restore_unit_payloads(
-    units: Sequence[WorkUnit], blob: Optional[bytes]
-) -> Sequence[WorkUnit]:
-    """Reattach the unit input payloads shipped as one packed blob.
-
-    The coordinator strips ``unit.payload`` before pickling the units
-    and ships the payload tuple as a single :func:`pack_shard` blob —
-    serialised exactly once, measured from its length (the
-    ``payload_bytes`` accounting).  ``None`` means no unit had one.
-    """
-    if blob is None:
-        return units
-    payloads = unpack_shard(blob)
-    return [
-        replace(unit, payload=payload) if payload is not None else unit
-        for unit, payload in zip(units, payloads)
-    ]
-
-
 def _run_slot(
     cache: Dict[Tuple[str, int], _ResidentShard],
     slot: int,
     mode: str,
     payload,
     units: Optional[Sequence[WorkUnit]],
-    unit_payloads: Optional[bytes] = None,
+    phase_blob: Optional[bytes] = None,
     faults: Optional[WorkerFaultContext] = None,
     progress: Optional[List[int]] = None,
 ) -> List["UnitResult"]:
     """Worker-side execution of one plan slot with shard-cache handling.
 
     ``units`` becomes the slot's resident plan; ``None`` runs the plan
-    the slot already holds.  ``faults`` is the worker's compiled
-    fault-injection triggers (consulted before every unit and right
-    after an shm attach); ``progress`` is the shared per-batch unit
-    counter the heartbeat thread reports, so the coordinator's
+    the slot already holds.  ``phase_blob`` is the run's packed
+    :class:`~repro.parallel.workload.UnitPhase`, if it has one; it
+    travels per run and is never resident.  ``faults`` is the worker's
+    compiled fault-injection triggers (consulted before every unit and
+    right after an shm attach); ``progress`` is the shared per-batch
+    unit counter the heartbeat thread reports, so the coordinator's
     ``unit_deadline`` watches real per-unit advancement.
     """
     from .engine import BlockMaterialiser, run_slot
@@ -1148,9 +1132,9 @@ def _run_slot(
     else:
         entry.plan = list(units)
     return run_slot(
-        entry.sigma, _restore_unit_payloads(units, unit_payloads),
-        entry.materialiser, entry.match_store, faults=faults,
-        progress=progress,
+        entry.sigma, units, entry.materialiser, entry.match_store,
+        faults=faults, progress=progress,
+        phase=unpack_shard(phase_blob) if phase_blob is not None else None,
     )
 
 
@@ -1161,8 +1145,8 @@ def _pack_results(results: List["UnitResult"]) -> Tuple:
     sets left non-empty by per-group folding (one per group carrier);
     ``block_size`` is the unit's own, which the coordinator holds.  The
     payloads travel as one blob, serialised exactly once and measured
-    from its length (``None`` when no result carries one) — the mirror
-    of :func:`_restore_unit_payloads`.  A few flat columns pickle, and
+    from its length (``None`` when no result carries one).  A few flat
+    columns pickle, and
     unpickle, in a fraction of the time one object per unit takes.
     """
     payloads = tuple(result.payload for result in results)
@@ -1328,13 +1312,13 @@ def _persistent_worker_main(
         beat.start()
         try:
             replies = []
-            for slot, mode, payload, plan_blob, unit_payloads in tasks:
+            for slot, mode, payload, plan_blob, phase_blob in tasks:
                 units = (
                     unpack_shard(plan_blob) if plan_blob is not None
                     else None
                 )
                 slot_results = _run_slot(
-                    cache, slot, mode, payload, units, unit_payloads,
+                    cache, slot, mode, payload, units, phase_blob,
                     faults=faults, progress=progress,
                 )
                 replies.append((slot, _pack_results(slot_results)))
@@ -1419,15 +1403,17 @@ class SimulatedExecutor:
         plan: Sequence[Sequence[WorkUnit]],
         sigma_key: Optional[object] = None,
         plan_key: Optional["PlanKey"] = None,
+        phase: Optional[UnitPhase] = None,
     ) -> List[List[Optional["UnitResult"]]]:
         """Execute every primary unit; replicas map to ``None``.
 
         Each slot runs through the engine's one slot loop
         (:func:`~repro.parallel.engine.run_slot`), the same one a worker
         process runs, so both backends consume and produce
-        identically-shaped unit payloads.  ``sigma_key`` and
-        ``plan_key`` name what a worker slot may already hold; nothing
-        is resident here, so they are unused.
+        identically-shaped unit payloads.  ``phase`` gives every unit
+        its kind, inputs and eval mode.  ``sigma_key`` and ``plan_key``
+        name what a worker slot may already hold; nothing is resident
+        here, so they are unused.
         """
         from .engine import BlockMaterialiser, run_slot
 
@@ -1435,7 +1421,10 @@ class SimulatedExecutor:
         if materialiser is None:
             materialiser = BlockMaterialiser(graph)
         return [
-            run_slot(sigma, worker_units, materialiser, self.match_store)
+            run_slot(
+                sigma, worker_units, materialiser, self.match_store,
+                phase=phase,
+            )
             for worker_units in plan
         ]
 
@@ -1444,9 +1433,10 @@ class SimulatedExecutor:
 class _BatchState:
     """One batch of tasks bound for one pool worker, plus its liveness.
 
-    ``tasks`` are ``(slot, mode, payload, plan_blob, inputs_blob)``
+    ``tasks`` are ``(slot, mode, payload, plan_blob, phase_blob)``
     tuples (the worker protocol's batch entries; ``plan_blob`` is
-    ``None`` when the slot runs the plan it already holds).
+    ``None`` when the slot runs the plan it already holds, and
+    ``phase_blob`` when the run has no phase).
     ``attempts`` counts how often this batch has been requeued after a
     fault; ``progress`` / ``progress_at`` track the worker's reported
     per-batch unit counter (for the ``unit_deadline``), ``last_signal``
@@ -1520,6 +1510,7 @@ class _PersistentRun:
         stats: ShippingStats,
         policy: FaultPolicy,
         plan_key: Optional[PlanKey] = None,
+        phase: Optional[UnitPhase] = None,
     ) -> None:
         self.pool = pool
         self.sigma = sigma
@@ -1544,6 +1535,8 @@ class _PersistentRun:
             plan if plan is not None and not plan.worker_empty else None
         )
         self._sigma_blob: Optional[bytes] = None
+        #: the run's phase, serialised once and sent with every slot
+        self._phase_blob = pack_shard(phase) if phase is not None else None
         #: per pool slot: batches dispatched (head) or queued behind it
         self.pending: Dict[int, Deque[_BatchState]] = {}
         #: raw ``"ok"`` replies collected so far
@@ -1619,26 +1612,16 @@ class _PersistentRun:
         else:
             payload = (self.epoch, sigma_update)
             stats.reused += 1
-        units = self.primaries[worker]
-        unit_inputs = tuple(unit.payload for unit in units)
-        if any(payload_in is not None for payload_in in unit_inputs):
-            inputs_blob = pack_shard(unit_inputs)
-            stats.payload_bytes += len(inputs_blob)
-            units = [
-                replace(unit, payload=None)
-                if unit.payload is not None else unit
-                for unit in units
-            ]
-        else:
-            inputs_blob = None
+        if self._phase_blob is not None:
+            stats.payload_bytes += len(self._phase_blob)
         if ship_plan:
             # the slot's units, serialised once and measured like every
             # other shipped category
-            plan_blob = pack_shard(units)
+            plan_blob = pack_shard(self.primaries[worker])
             stats.plan_bytes += len(plan_blob)
         else:
             plan_blob = None
-        return (worker, mode, payload, plan_blob, inputs_blob)
+        return (worker, mode, payload, plan_blob, self._phase_blob)
 
     def _unit_count(self, batch: _BatchState) -> int:
         return sum(len(self.primaries[task[0]]) for task in batch.tasks)
@@ -2148,6 +2131,7 @@ class MultiprocessExecutor:
         plan: Sequence[Sequence[WorkUnit]],
         sigma_key: Optional[object] = None,
         plan_key: Optional[PlanKey] = None,
+        phase: Optional[UnitPhase] = None,
     ) -> List[List[Optional["UnitResult"]]]:
         """Execute every primary unit in the started pool's workers.
 
@@ -2162,8 +2146,10 @@ class MultiprocessExecutor:
         ``ValidationSession.update`` does).  With ``sigma_key=None`` the
         run ships full shards.  ``plan_key`` (a :class:`PlanKey`)
         likewise identifies ``plan``, so a warm slot that holds it is
-        sent no units.  Supervision follows :attr:`fault_policy`, with any
-        ``REPRO_FAULT_PLAN`` resolved per run (see the module
+        sent no units.  ``phase`` (a
+        :class:`~repro.parallel.workload.UnitPhase`) is packed once and
+        sent with every slot.  Supervision follows :attr:`fault_policy`,
+        with any ``REPRO_FAULT_PLAN`` resolved per run (see the module
         docstring's "Fault tolerance").
         """
         from .engine import MaterialiserStats
@@ -2191,7 +2177,7 @@ class MultiprocessExecutor:
         # restarts cold.
         replies = _PersistentRun(
             self, sigma, graph, primaries, busy, sigma_key, stats,
-            resolve_fault_policy(self.fault_policy), plan_key,
+            resolve_fault_policy(self.fault_policy), plan_key, phase,
         ).execute()
         results: Dict[int, List["UnitResult"]] = {}
         for _, pid, pairs, store_stats, cache_stats, gc_stats in replies:

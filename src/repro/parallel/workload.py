@@ -67,6 +67,10 @@ class WorkUnit:
     factorises when the leader pattern's join structure permits and
     enumerates otherwise; the explicit modes force one path.  ``detect``
     units ignore it (violations need witness matches).
+
+    A run that gives every unit of a plan the same kind names it once,
+    in a :class:`UnitPhase`, instead of copying each unit; the unit's
+    own ``kind``, ``payload`` and ``eval_mode`` then go unread.
     """
 
     group: SharedGroup
@@ -95,6 +99,36 @@ class WorkUnit:
     def missing_size(self, fragment: int) -> int:
         """Block size not resident on ``fragment`` (data to prefetch)."""
         return self.block_size - self.fragment_sizes.get(fragment, 0)
+
+
+@dataclass(frozen=True)
+class UnitPhase:
+    """What every unit of one run does: its kind, inputs and eval mode.
+
+    Discovery runs one plan as three phases — ``mine``, ``count`` and
+    a ``detect`` confirmation — that differ only in what a unit does
+    inside its block.  A phase says so once for the whole run, so the
+    plan's units travel and execute as they are.  ``payloads`` maps a
+    group's leader index to the input payload of that group's units
+    (see :attr:`WorkUnit.payload`); ``groups`` maps a leader index to
+    the group whose members the phase evaluates in place of the unit's
+    own (confirmation's mined rules).  Leader indices survive pickling,
+    so the phase ships apart from the units.
+    """
+
+    kind: str = "detect"
+    eval_mode: str = "auto"
+    payloads: Dict[int, tuple] = field(default_factory=dict)
+    groups: Dict[int, SharedGroup] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, unit: WorkUnit) -> "UnitPhase":
+        """The phase a single unit names through its own fields."""
+        payloads = (
+            {unit.group.leader_index: unit.payload}
+            if unit.payload is not None else {}
+        )
+        return cls(kind=unit.kind, eval_mode=unit.eval_mode, payloads=payloads)
 
 
 def unit_weight(block_size: int, pattern_edges: int) -> float:

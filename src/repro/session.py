@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core.discovery import (
@@ -121,7 +121,7 @@ from .parallel.multiquery import (
 )
 from .parallel.repval import SPLIT_FACTOR
 from .parallel.skew import split_oversized
-from .parallel.workload import WorkUnit, estimate_workload
+from .parallel.workload import UnitPhase, WorkUnit, estimate_workload
 
 
 #: shard-cache identity of the session's own rule set — a warm worker slot
@@ -596,14 +596,16 @@ class ValidationSession:
         mine_mode = "matches" if sample_size is not None else "aggregate"
         # The unit payload carries the cap so workers bound what they
         # materialise and ship (see engine._execute_mine).
-        mine_plan = [
-            [replace(unit, kind="mine", payload=(max_matches, mine_mode),
-                     eval_mode=eval_mode)
-             for unit in slot]
-            for slot in plan
-        ]
+        mine_phase = UnitPhase(
+            kind="mine", eval_mode=eval_mode,
+            payloads={
+                group.leader_index: (max_matches, mine_mode)
+                for group in groups
+            },
+        )
         mine_results = run_units(
-            probes, graph, mine_plan, cluster, backend, sigma_key=probe_key
+            probes, graph, plan, cluster, backend, sigma_key=probe_key,
+            phase=mine_phase,
         )
         mine_shipping = backend.last_shipping
         mine_vf2 = _count_enumerations(mine_results)
@@ -616,7 +618,7 @@ class ValidationSession:
         capped: Dict[int, bool] = {}
         if mine_mode == "matches":
             raw_matches, raw_counts = _gather_match_lists(
-                mine_plan, mine_results, range(len(patterns)), max_matches
+                plan, mine_results, range(len(patterns)), max_matches
             )
             for index, pattern in enumerate(patterns):
                 matches = canonical_matches(
@@ -635,7 +637,7 @@ class ValidationSession:
                 index: EvidenceAggregate()
                 for index in range(len(patterns))
             }
-            for slot_units, slot_results in zip(mine_plan, mine_results):
+            for slot_units, slot_results in zip(plan, mine_results):
                 for unit, result in zip(slot_units, slot_results):
                     if result is None or result.payload is None:
                         continue  # folded into its slot's group carrier
@@ -668,20 +670,25 @@ class ValidationSession:
                 # store.  Identical deterministic steps are charged
                 # either way, so reports stay backend-invariant.
                 fetch_indices = frozenset(need_fetch)
+                fetch_phase = UnitPhase(
+                    kind="mine", eval_mode="enumerate",
+                    payloads={
+                        group.leader_index: (max_matches, "matches")
+                        for group in groups
+                        if any(member.index in fetch_indices
+                               for member in group.members)
+                    },
+                )
                 fetch_plan = [
                     [
-                        replace(unit, kind="mine",
-                                payload=(max_matches, "matches"),
-                                eval_mode="enumerate")
-                        for unit in slot
-                        if any(member.index in fetch_indices
-                               for member in unit.group.members)
+                        unit for unit in slot
+                        if unit.group.leader_index in fetch_phase.payloads
                     ]
                     for slot in plan
                 ]
                 fetch_results = run_units(
                     probes, graph, fetch_plan, cluster, backend,
-                    sigma_key=probe_key,
+                    sigma_key=probe_key, phase=fetch_phase,
                 )
                 mine_vf2 += _count_enumerations(fetch_results)
                 if mine_shipping is not None:
@@ -731,7 +738,7 @@ class ValidationSession:
                 elif mine_mode == "aggregate":
                     # Ship the recipe, not the candidates: workers
                     # re-derive the identical proposal list from the
-                    # merged aggregate (engine.expand_count_payloads) —
+                    # merged aggregate (engine._derived_count_payload) —
                     # one compact aggregate per pattern on the wire
                     # instead of O(proposals) literal objects per slot.
                     member_payloads.append((
@@ -752,20 +759,15 @@ class ValidationSession:
                         )
                         for lhs, rhs in deps
                     ))
-            group_payload[id(group)] = tuple(member_payloads)
+            if any(member_payloads):
+                group_payload[group.leader_index] = tuple(member_payloads)
         totals: Dict[int, List[List[int]]] = {
             index: [[0, 0] for _ in deps]
             for index, deps in proposals.items()
             if not capped[index]
         }
         count_plan = [
-            [
-                replace(unit, kind="count",
-                        payload=group_payload[id(unit.group)],
-                        eval_mode=eval_mode)
-                for unit in slot
-                if any(group_payload[id(unit.group)])
-            ]
+            [unit for unit in slot if unit.group.leader_index in group_payload]
             for slot in plan
         ]
         if any(count_plan):
@@ -774,6 +776,9 @@ class ValidationSession:
             count_results = run_units(
                 probes, graph, count_plan, count_cluster, backend,
                 sigma_key=probe_key,
+                phase=UnitPhase(
+                    kind="count", eval_mode=eval_mode, payloads=group_payload
+                ),
             )
             for slot_units, slot_results in zip(count_plan, count_results):
                 for unit, result in zip(slot_units, slot_results):
@@ -848,11 +853,12 @@ class ValidationSession:
         self, rules, patterns, probes, groups, plan, workers,
         backend, materialiser, match_store, probe_key,
     ) -> Tuple[Set[Violation], DiscoveryPhase]:
-        """Validate the mined Σ by re-skinning the mining plan.
+        """Validate the mined Σ over the mining plan.
 
         Mined rules inherit their probes' patterns, pivots and blocks, so
-        detection units are the mining units with a ``detect`` group of
-        mined members — same slots, same block node sets.  Per-slot
+        detection runs the mining units themselves under a ``detect``
+        phase whose groups hold the mined members — same slots, same
+        block node sets.  Per-slot
         ``needed`` is therefore a subset of what mining left resident:
         the pass ships zero block-shares, only the mined Σ itself — and
         replays the resident enumerations the ``mine`` phase deposited
@@ -869,7 +875,7 @@ class ValidationSession:
             mined_by_pattern.setdefault(
                 pattern_pos[id(gfd.pattern)], []
             ).append(len(probes) + offset)
-        confirm_groups: Dict[int, SharedGroup] = {}
+        confirm_groups: Dict[int, SharedGroup] = {}  # by leader index
         for group in groups:
             members = []
             for member in group.members:
@@ -883,16 +889,11 @@ class ValidationSession:
                         rhs=tuple(l.rename(inverse) for l in gfd.rhs),
                     ))
             if members:
-                confirm_groups[id(group)] = SharedGroup(
+                confirm_groups[group.leader_index] = SharedGroup(
                     leader_index=group.leader_index, members=tuple(members)
                 )
         confirm_plan = [
-            [
-                replace(unit, kind="detect", payload=None,
-                        group=confirm_groups[id(unit.group)])
-                for unit in slot
-                if id(unit.group) in confirm_groups
-            ]
+            [unit for unit in slot if unit.group.leader_index in confirm_groups]
             for slot in plan
         ]
         confirm_key = ("sigma:mined", probe_key, tuple(mined))
@@ -903,6 +904,7 @@ class ValidationSession:
         results = run_units(
             confirm_sigma, self.graph, confirm_plan, cluster, backend,
             sigma_key=confirm_key,
+            phase=UnitPhase(kind="detect", groups=confirm_groups),
         )
         violations: Set[Violation] = set()
         for slot_results in results:

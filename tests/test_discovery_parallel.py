@@ -266,7 +266,7 @@ class TestMatcherRetention:
         materialiser = cache[("e1", 0)].materialiser
 
         def matcher():
-            return materialiser._cache[unit.block_nodes][1][pattern]
+            return materialiser._cache[unit.block_nodes].matchers[pattern]
 
         kept = matcher()
         assert kept.factorised_plan() is not None
@@ -306,8 +306,8 @@ class TestMatcherRetention:
         def retained():
             return {
                 pattern
-                for _, matchers in cache[("e1", 0)].materialiser._cache.values()
-                for pattern in matchers
+                for entry in cache[("e1", 0)].materialiser._cache.values()
+                for pattern in entry.matchers
             }
 
         cache = {}
@@ -351,8 +351,8 @@ class TestMatcherRetention:
             def retained():
                 return {
                     pattern
-                    for _, matchers in session._materialiser._cache.values()
-                    for pattern in matchers
+                    for entry in session._materialiser._cache.values()
+                    for pattern in entry.matchers
                 }
 
             session.validate(n=2)

@@ -8,16 +8,14 @@ per seed, so the seed really differs between runs.  The discover phase
 lines' wall-clock readings legitimately differ and are masked before
 comparing.
 
-Known gap (ROADMAP 8(a)): the shipped byte counters that ``discover``
-prints — ``sigma_bytes`` in "shard+sigma byte(s)" and ``payload_bytes``
-in "unit-payload byte(s)" — depend on the hash seed too (CHANGES.md,
-the PR 24 ``FOUND`` line: 20 896 / 20 899 / 20 835 enumerate payload
-bytes over three runs on the perfbench discover inputs; the cause is
-not traced yet).  They are not
-masked: on this graph seeds 0–2 give equal sizes, so the check holds by
-coincidence there.  If a change to the graph, the seeds or the rules
-fails ``test_discover_is_seed_independent`` on those counters alone,
-that is this gap, not a result-ordering bug.
+The shipped byte counters ``discover`` prints — ``sigma_bytes`` in
+"shard+sigma byte(s)" and ``payload_bytes`` in "unit-payload byte(s)" —
+are not masked either.  They once followed the hash seed: a block's node
+order follows set iteration, it decided which of several equal attribute
+strings an evidence aggregate held, and pickle shares strings only by
+identity.  Aggregates now intern their strings, and
+``test_discover_byte_counters_are_seed_independent`` pins the counters
+on a Pokec-like graph whose counters differed under seeds 0–2 before.
 """
 
 import os
@@ -29,6 +27,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import save_graph
+from repro.datasets import pokec_like
 
 SEEDS = ("0", "1", "2")
 
@@ -95,5 +95,24 @@ def test_discover_is_seed_independent(inputs):
         for seed in SEEDS
     ]
     assert b"[mined0]" in outputs[0]  # the run mined rules
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.fixture(scope="module")
+def pokec_inputs(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("hash-seed-pokec")
+    save_graph(pokec_like.build(scale=40, seed=1).graph, str(cwd / "p.jsonl"))
+    return cwd
+
+
+def test_discover_byte_counters_are_seed_independent(pokec_inputs):
+    outputs = [
+        WALL.sub(b"<t>s wall", run_cli(["discover", "p.jsonl", *PROCESS],
+                                       seed, pokec_inputs))
+        for seed in SEEDS
+    ]
+    assert b"unit-payload byte(s)" in outputs[0]
+    assert b"[mined0]" in outputs[0]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]

@@ -29,6 +29,7 @@ from repro.parallel.engine import (
     _sparse_tallies,
 )
 from repro.parallel.multiquery import build_shared_groups
+from repro.parallel.workload import UnitPhase
 from repro.pattern.pattern import GraphPattern
 
 
@@ -157,7 +158,7 @@ def test_shared_elimination_charges_and_tallies_like_standalone(seed):
     supported = 0
     for unit in units:
         shared = _factorised_count(
-            _Group(sigma, unit.group), unit, materialiser, unit.payload,
+            _Group(sigma, unit.group, UnitPhase.of(unit)), unit, materialiser,
             strict=True,
         )
         payload, steps = _standalone(sigma, unit, materialiser)
@@ -194,7 +195,7 @@ def test_elimination_is_shared_across_members_and_pair_tables(monkeypatch):
 
     monkeypatch.setattr(FactorisedPlan, "_component_roots", counted)
     _factorised_count(
-        _Group(sigma, unit.group), unit, materialiser, unit.payload,
+        _Group(sigma, unit.group, UnitPhase.of(unit)), unit, materialiser,
         strict=True,
     )
     leader = sigma[unit.group.leader_index]

@@ -84,8 +84,8 @@ def _exercise_resident_state(graph, sigma, units) -> int:
     assert len(store) > 0
     return sum(
         matcher.factorised_plan() is not None
-        for _, matchers in materialiser._cache.values()
-        for matcher in matchers.values()
+        for entry in materialiser._cache.values()
+        for matcher in entry.matchers.values()
     )
 
 
