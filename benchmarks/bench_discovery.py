@@ -16,24 +16,19 @@ the regime the paper's real-life workloads live in.  Asserted:
   match-list baseline);
 * zero block-shares shipped on the warm phases (count + confirm reuse
   the shards mining shipped; a warm repeat ships nothing at all);
-* zero VF2 re-enumerations on the warm ``count``/``confirm`` phases —
-  every unit replays the resident matches ``mine`` deposited (the
-  engine's match-store counters: ``misses == 0``, ``hits > 0``);
+* zero VF2 units in the ``enumerate`` and ``count`` phases — every
+  unit is answered from its block's resident factorised eliminations
+  (``DiscoveryPhase.vf2_units``);
 * the aggregate data path ships fewer payload bytes than the match-list
   baseline (forced via an explicit never-truncating evidence sample),
   per phase — the reduction is printed *and* asserted;
 * the factorised count phase (``eval_mode="factorised"``) answers the
   identical tally queries with **zero** VF2 enumerations on this
-  all-acyclic candidate set (session telemetry, measured on a
-  zero-budget session so enumerate mode cannot replay resident
-  matches), and the serial count work on a multiplicity-heavy graph
-  runs at least ``COUNT_PHASE_BAR`` faster factorised than enumerated;
+  all-acyclic candidate set (session telemetry), and the serial count
+  work on a multiplicity-heavy graph runs at least ``COUNT_PHASE_BAR``
+  faster factorised than enumerated;
 * warm mining beats serial by the bar below whenever ≥ 4 CPUs are
   usable (single/dual-core runners only report).
-
-The replay-path sections pin ``eval_mode="enumerate"`` deliberately:
-factorised mining deposits no matches (there is nothing to replay), so
-the match-store assertions only make sense on the enumerating path.
 
 Per-phase wall-clock and shipped-byte figures land in
 ``benchmarks/results/discovery_perf.json`` (uploaded by CI, so the
@@ -107,14 +102,8 @@ def test_session_discovery_speedup(benchmark):
         # Cold: pool start + full shard shipping + workload estimation.
         # confirm=False keeps the comparison apples-to-apples (serial
         # discover_gfds has no confirmation pass).
-        # eval_mode="enumerate" pins the match-store data path this
-        # section asserts on: factorised mining (the default) answers
-        # count queries without materialising matches, so there would be
-        # nothing resident to replay.  The factorised path gets its own
-        # section below.
         started = time.perf_counter()
-        cold = session.discover(n=4, confirm=False,
-                                eval_mode="enumerate", **DISCOVERY)
+        cold = session.discover(n=4, confirm=False, **DISCOVERY)
         cold_time = time.perf_counter() - started
         assert [mined_key(d) for d in cold.rules] == [
             mined_key(d) for d in serial
@@ -126,8 +115,7 @@ def test_session_discovery_speedup(benchmark):
         warm_times = []
         for _ in range(rounds):
             started = time.perf_counter()
-            warm = session.discover(n=4, confirm=False,
-                                    eval_mode="enumerate", **DISCOVERY)
+            warm = session.discover(n=4, confirm=False, **DISCOVERY)
             warm_times.append(time.perf_counter() - started)
             assert [mined_key(d) for d in warm.rules] == [
                 mined_key(d) for d in serial
@@ -138,7 +126,7 @@ def test_session_discovery_speedup(benchmark):
 
         # One confirming run: the mined-Σ validation pass must also hit
         # the warm shards — zero block-shares, only Σ travels.
-        confirmed = session.discover(n=4, eval_mode="enumerate", **DISCOVERY)
+        confirmed = session.discover(n=4, **DISCOVERY)
         confirm = confirmed.phase("confirm")
         assert confirm is not None
         assert confirm.shipping.full == 0
@@ -150,17 +138,15 @@ def test_session_discovery_speedup(benchmark):
             == confirmed.phase("enumerate").shipping.worker_pids
         )
 
-        # Resident-match replay: every warm phase runs zero VF2
-        # re-enumerations — the engine counter says every unit replayed
-        # what mine left resident (enumerate replays on a warm repeat).
-        for phase in confirmed.phases:
-            store = phase.match_store
-            assert store is not None, phase.phase
-            assert store.misses == 0, (
-                f"warm {phase.phase} re-enumerated {store.misses} unit(s) "
-                "instead of replaying resident matches"
+        # Resident eliminations: enumerate and count run zero VF2 units
+        # on this all-acyclic candidate set; only confirm, which needs
+        # witnesses, enumerates.
+        for name in ("enumerate", "count"):
+            phase = confirmed.phase(name)
+            assert phase.vf2_units == 0, (
+                f"{name} ran VF2 on {phase.vf2_units} unit(s) instead of "
+                "reading resident factorised eliminations"
             )
-            assert store.hits > 0, phase.phase
 
         # The match-list baseline: an explicit never-truncating sample
         # forces the documented match-shipping fallback while mining
@@ -184,20 +170,16 @@ def test_session_discovery_speedup(benchmark):
         assert confirm.shipping.payload_bytes <= \
             baseline.phase("confirm").shipping.payload_bytes
 
-        # Factorised count phase, session view.  A fresh session with a
-        # zero match-store budget makes the enumerate-mode count phase
-        # genuinely re-enumerate (no resident matches to replay), so
-        # the two modes answer the identical tally queries by
-        # enumeration vs variable elimination.  Asserted: identical
+        # Factorised count phase, session view: the two modes answer the
+        # identical tally queries by enumeration vs variable
+        # elimination.  Asserted: identical
         # mined rules, and the telemetry proof that strict factorised
         # mode ran ZERO VF2 enumerations where enumerate mode ran
         # thousands.  No wall-clock floor here: per-pivot blocks are
         # tiny, so per-unit VF2 is cheap and the two paths time out
         # near parity — the factorised wall-clock win lives in the
         # global (serial) count path measured below.
-        with ValidationSession(
-            graph, [], match_store_budget=0
-        ) as count_session:
+        with ValidationSession(graph, []) as count_session:
             for mode in ("enumerate", "factorised"):  # warm both paths
                 count_session.discover(n=4, confirm=False, eval_mode=mode,
                                        **DISCOVERY)
@@ -293,13 +275,11 @@ def test_session_discovery_speedup(benchmark):
         for run_name, run in (("warm", confirmed), ("match-list", baseline)):
             for phase in run.phases:
                 shipping = phase.shipping
-                store = phase.match_store
                 phase_rows.append((
                     run_name, phase.phase, f"{phase.wall_seconds:.3f}",
                     shipping.payload_bytes,
                     shipping.shard_bytes + shipping.sigma_bytes,
-                    f"{store.hits}/{store.hits + store.misses}"
-                    if store else "-",
+                    f"{phase.vf2_units}/{phase.num_units}",
                 ))
                 phase_records.append({
                     "run": run_name,
@@ -309,13 +289,13 @@ def test_session_discovery_speedup(benchmark):
                     "shard_bytes": shipping.shard_bytes,
                     "sigma_bytes": shipping.sigma_bytes,
                     "shipped_nodes": shipping.shipped_nodes,
-                    "store_hits": store.hits if store else None,
-                    "store_misses": store.misses if store else None,
+                    "vf2_units": phase.vf2_units,
+                    "num_units": phase.num_units,
                 })
         emit_table(
             "discovery_phases",
             ["run", "phase", "wall s", "payload B", "shard+sigma B",
-             "replayed"],
+             "VF2 units"],
             phase_rows,
         )
         print(

@@ -76,7 +76,6 @@ from .parallel import (
     FaultPlan,
     FaultPolicy,
     FaultStats,
-    MatchStoreStats,
     MaterialiserStats,
     ShippingStats,
     UnitResult,
@@ -156,7 +155,6 @@ __all__ = [
     "DiscoveryPhase",
     "DiscoveryRun",
     "EvidenceAggregate",
-    "MatchStoreStats",
     "MaterialiserStats",
     "ShippingStats",
     "FaultPlan",

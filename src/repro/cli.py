@@ -334,13 +334,9 @@ def cmd_discover(args, out: TextIO) -> int:
     # Mining itself runs session-backed: enumeration and counting are
     # work units over the chosen execution backend, and the mined-Σ
     # confirmation pass reuses the same warm worker shards.
-    session_options = {}
-    if args.match_budget is not None:
-        session_options["match_store_budget"] = args.match_budget
     with ValidationSession(
         graph, [], executor=args.executor, processes=args.processes,
         ship_mode=args.ship_mode, fault_policy=_fault_policy(args),
-        **session_options,
     ) as session:
         run = session.discover(
             min_support=args.support,
@@ -359,7 +355,7 @@ def cmd_discover(args, out: TextIO) -> int:
         out.write(text)
     # Data-path accounting per mining phase: shipped byte volume (the
     # aggregate-payload win as a number, not a claim) and how many units
-    # replayed worker-resident matches instead of re-running VF2.
+    # ran VF2 instead of reading resident factorised eliminations.
     for phase in run.phases:
         shipping = phase.shipping
         line = f"# {phase.phase}: {phase.wall_seconds:.3f}s wall"
@@ -375,12 +371,6 @@ def cmd_discover(args, out: TextIO) -> int:
                     f", {shipping.mapped_bytes} byte(s) shm-mapped "
                     f"({shipping.mapped} shard(s))"
                 )
-        store = phase.match_store
-        if store is not None and (store.hits or store.misses):
-            line += (
-                f", {store.hits}/{store.hits + store.misses} unit(s) "
-                "replayed resident matches"
-            )
         if phase.phase in ("enumerate", "count", "confirm"):
             line += f", {phase.vf2_units} unit(s) ran VF2 enumeration"
         out.write(line + "\n")
@@ -607,11 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--max-matches", type=_positive_int, default=5000,
                           help="matches counted per candidate pattern "
                                "(canonical selection)")
-    discover.add_argument("--match-budget", type=_nonnegative_int,
-                          default=None,
-                          help="matches kept resident per worker match "
-                               "store for count/confirm replay "
-                               "(0 disables; default: library budget)")
     discover.add_argument("--eval-mode", choices=list(EVAL_MODES),
                           default="auto",
                           help="how mine/count units answer aggregate "

@@ -31,8 +31,6 @@ from .engine import (
 from .executors import (
     EXECUTORS,
     SHIP_MODES,
-    MatchStore,
-    MatchStoreStats,
     MultiprocessExecutor,
     ShardCache,
     ShardPlane,
@@ -77,8 +75,6 @@ __all__ = [
     "singleton_groups",
     "split_oversized",
     "split_statistics",
-    "MatchStore",
-    "MatchStoreStats",
     "MaterialiserStats",
     "UnitResult",
     "ValidationRun",

@@ -26,7 +26,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executors import (
-        MatchStore,
         MultiprocessExecutor,
         PlanKey,
         ShippingStats,
@@ -60,8 +59,8 @@ class UnitResult:
     ``payload`` (a value-comparable tuple, so results stay identical
     across execution backends).  ``steps`` counts full-enumeration
     extensions for every kind.  ``enumerated`` records whether a VF2
-    enumeration actually ran for this unit — ``False`` for match-store
-    replays and factorised evaluation; the session surfaces the per-
+    enumeration actually ran for this unit — ``False`` when its resident
+    factorised eliminations answered it; the session surfaces the per-
     phase sum as :attr:`repro.session.DiscoveryPhase.vf2_units`.
     """
 
@@ -404,7 +403,6 @@ def execute_unit(
     graph: PropertyGraph,
     unit: WorkUnit,
     materialiser: Optional[BlockMaterialiser] = None,
-    match_store: Optional["MatchStore"] = None,
 ) -> UnitResult:
     """Execute one (primary) work unit per its :attr:`WorkUnit.kind`.
 
@@ -413,18 +411,10 @@ def execute_unit(
     leader pattern's pinned matches — and differ only in what they do
     per match: ``detect`` evaluates member dependencies into violations,
     ``mine`` folds or returns the matches, ``count`` tallies proposed
-    dependencies (see :mod:`repro.core.discovery`).
-
-    ``match_store`` (a :class:`~repro.parallel.executors.MatchStore`)
-    short-circuits the enumeration itself: ``mine`` units deposit their
-    enumerated matches, and any later unit naming the same ``(leader
-    pattern, pivot candidate, block)`` — discovery's ``count`` and
-    ``confirm`` phases over an unchanged shard — *replays* the resident
-    matches instead of re-running VF2.  Replayed units charge the
-    entry's recorded ``steps``, which equals what a fresh enumeration
-    would measure (step counts are enumeration-order-free), so results
-    and cost reports are replay-invariant; an evicted or never-stored
-    entry transparently falls back to enumeration.
+    dependencies (see :mod:`repro.core.discovery`).  A unit is answered
+    one of two ways: from the block's resident factorised eliminations
+    (aggregate ``mine`` and ``count`` under ``eval_mode`` ``"auto"`` or
+    ``"factorised"``), or by a fresh VF2 enumeration.
 
     The result is what a one-unit slot of :func:`run_slot` gives, its
     payload in the wire form.  A whole slot runs through
@@ -434,7 +424,7 @@ def execute_unit(
     if materialiser is None:
         materialiser = BlockMaterialiser(graph)
     result = _Group(sigma, unit.group, UnitPhase.of(unit)).execute_unit(
-        unit, materialiser, match_store
+        unit, materialiser
     )
     consolidate_slot_results((unit,), (result,))
     return result
@@ -452,8 +442,8 @@ class _Group:
     exactly one permutation — itself — so a unit pins its own
     assignment instead of re-expanding it.  A count group compiles its
     members' tally shapes on first use.  Holds no per-unit state:
-    results, ``steps`` and the match-store traffic of a unit are what
-    :func:`execute_unit` gives it alone.
+    the result and ``steps`` of a unit are what :func:`execute_unit`
+    gives it alone.
     """
 
     __slots__ = ("sigma", "leader_index", "pattern", "pivot", "members",
@@ -490,17 +480,14 @@ class _Group:
         )
 
     def execute_unit(
-        self,
-        unit: WorkUnit,
-        materialiser: BlockMaterialiser,
-        match_store: Optional["MatchStore"],
+        self, unit: WorkUnit, materialiser: BlockMaterialiser
     ) -> UnitResult:
         if self.kind == "detect":
-            return _execute_detect(self, unit, materialiser, match_store)
+            return _execute_detect(self, unit, materialiser)
         if self.kind == "mine":
-            return _execute_mine(self, unit, materialiser, match_store)
+            return _execute_mine(self, unit, materialiser)
         if self.kind == "count":
-            return _execute_count(self, unit, materialiser, match_store)
+            return _execute_count(self, unit, materialiser)
         raise ValueError(f"unknown work-unit kind {self.kind!r}")
 
     def pins(self, unit: WorkUnit):
@@ -531,7 +518,6 @@ def run_slot(
     sigma: Sequence[GFD],
     units: Sequence[WorkUnit],
     materialiser: BlockMaterialiser,
-    match_store: Optional["MatchStore"] = None,
     faults: Optional["WorkerFaultContext"] = None,
     progress: Optional[List[int]] = None,
     phase: Optional[UnitPhase] = None,
@@ -566,7 +552,7 @@ def run_slot(
                 sigma, unit.group,
                 phase if phase is not None else UnitPhase.of(unit),
             )
-        results.append(group.execute_unit(unit, materialiser, match_store))
+        results.append(group.execute_unit(unit, materialiser))
         if progress is not None:
             progress[0] += 1
     consolidate_slot_results(units, results, phase)
@@ -586,47 +572,14 @@ def _pinned_matches(group, unit, materialiser, stats):
     return block, generate()
 
 
-def _store_key(group: _Group, unit: WorkUnit) -> tuple:
-    """A unit's enumeration identity: (leader pattern, pivot, block).
-
-    Keyed by pattern *content* (signature hash), not by Σ-index — the
-    same triple enumerates the same match set whichever rule set is
-    live, so a hit is always semantically safe across discovery's
-    probe/mined Σ swaps.
-    """
-    return (group.pattern, unit.assignment, unit.block_nodes)
-
-
-def _replayed(group, unit, materialiser, match_store):
-    """The unit's resident ``(steps, match items, block)``, if stored."""
-    if match_store is None or match_store.miss_if_empty():
-        return None
-    stored = match_store.get(_store_key(group, unit))
-    if stored is None:
-        return None
-    steps, items = stored
-    return steps, items, materialiser.block(unit.block_nodes)
-
-
 def _execute_detect(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-    match_store: Optional["MatchStore"] = None,
 ) -> UnitResult:
-    """Local error detection (the original unit semantics).
-
-    With a match store, a unit whose enumeration is resident (discovery's
-    ``confirm`` phase runs mining units as ``detect``) replays it —
-    the mined-Σ validation pass then runs zero VF2 on warm blocks.
-    """
-    replay = _replayed(group, unit, materialiser, match_store)
-    if replay is not None:
-        steps, items, block = replay
-        matches = (dict(match_items) for match_items in items)
-    else:
-        stats = MatchStats()
-        block, matches = _pinned_matches(group, unit, materialiser, stats)
+    """Local error detection (the original unit semantics)."""
+    stats = MatchStats()
+    block, matches = _pinned_matches(group, unit, materialiser, stats)
     violations: Set[Violation] = set()
     for match in matches:
         for member in group.members:
@@ -641,9 +594,9 @@ def _execute_detect(
             violations.add(make_violation(member_gfd, member_match))
     return UnitResult(
         violations=violations,
-        steps=steps if replay is not None else stats.steps,
+        steps=stats.steps,
         block_size=unit.block_size,
-        enumerated=replay is None,
+        enumerated=True,
     )
 
 
@@ -678,9 +631,7 @@ def _factorised_mine(
     """The aggregate mine result by factorised evaluation, if possible.
 
     Sums the leader pattern's evidence over the unit's re-expanded pivot
-    permutations straight off the block's factorised plan — no VF2, and
-    nothing deposited in the match store (there are no matches to
-    retain; later phases on the factorised path don't replay either).
+    permutations straight off the block's factorised plan — no VF2.
     Returns ``None`` when the pattern does not factorise on this block
     (``strict`` raises instead — the ``eval_mode="factorised"``
     contract).
@@ -776,44 +727,10 @@ def _sparse_tallies(counts) -> tuple:
     )
 
 
-def _match_list_payload(
-    items: Sequence[Tuple], count: int, cap: Optional[int], members
-) -> tuple:
-    """The match-shipping payload for a complete canonical match list.
-
-    Mirrors the incremental selection of :func:`_execute_mine`'s
-    enumeration path (same threshold, same per-member canonical cap), so
-    a replayed unit ships the byte-identical payload a fresh enumeration
-    would have.
-    """
-    threshold = max(2 * cap, 4096) if cap is not None else None
-    if threshold is None or count <= threshold:
-        return ("shared", tuple(items))
-    return (
-        "members",
-        count,
-        tuple(
-            tuple(
-                heapq.nsmallest(
-                    cap,
-                    (
-                        tuple(sorted((member.iso[var], node)
-                                     for var, node in match_items))
-                        for match_items in items
-                    ),
-                    key=match_items_key,
-                )
-            )
-            for member in members
-        ),
-    )
-
-
 def _execute_mine(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-    match_store: Optional["MatchStore"] = None,
 ) -> UnitResult:
     """Discovery's enumeration phase: fold or return the pivoted matches.
 
@@ -830,9 +747,9 @@ def _execute_mine(
       :class:`~repro.core.discovery.EvidenceAggregate` and the unit
       returns ``("agg", count, aggregate)``, which its slot folds and
       ships encoded (:func:`consolidate_slot_results`) —
-      ``O(vars × attrs)`` however many matches the block holds.  The enumerated matches are
-      deposited in ``match_store`` (budget permitting) so the later
-      ``count``/``confirm`` phases replay them.
+      ``O(vars × attrs)`` however many matches the block holds.  Under
+      ``eval_mode`` ``"auto"``/``"factorised"`` the aggregate comes off
+      the block's resident eliminations instead of an enumeration.
     * ``mode="matches"``: the match list itself ships — the documented
       fallback the coordinator requests when a pattern's ``max_matches``
       cap bites (support/confidence must then be counted over the
@@ -849,32 +766,11 @@ def _execute_mine(
       matches).  Either way worker memory and the shipped payload stay
       ``O(members × cap)``, and the per-unit selection commutes with
       the coordinator's global canonical cap.
-
-    A resident entry (a warm repeated ``discover()``, or the capped
-    fallback re-requesting matches the aggregate pass already
-    enumerated) replays instead of re-running VF2 on either mode.
     """
     payload_in = group.payload or ()
     cap = payload_in[0] if payload_in else None
     mode = payload_in[1] if len(payload_in) > 1 else "matches"
     members = group.members
-
-    replay = _replayed(group, unit, materialiser, match_store)
-    if replay is not None:
-        steps, items, block = replay
-        if mode == "aggregate":
-            aggregate = EvidenceAggregate()
-            for match_items in items:
-                aggregate.add(block, dict(match_items))
-            payload = ("agg", len(items), aggregate)
-        else:
-            payload = _match_list_payload(items, len(items), cap, members)
-        return UnitResult(
-            violations=set(),
-            steps=steps,
-            block_size=unit.block_size,
-            payload=payload,
-        )
 
     if mode == "aggregate" and group.eval_mode != "enumerate":
         result = _factorised_mine(
@@ -889,23 +785,10 @@ def _execute_mine(
 
     if mode == "aggregate":
         aggregate = EvidenceAggregate()
-        # Retain the canonical items for the resident store while they
-        # fit its budget; past it, keep folding without retention (the
-        # later phases then fall back to re-enumeration).
-        retain_limit = match_store.budget if match_store is not None else 0
-        found: Optional[List[Tuple]] = [] if retain_limit else None
         count = 0
         for match in matches:
             count += 1
             aggregate.add(block, match)
-            if found is not None:
-                found.append(tuple(sorted(match.items())))
-                if len(found) > retain_limit:
-                    found = None
-        if found is not None and match_store is not None:
-            found.sort(key=match_items_key)
-            match_store.put(_store_key(group, unit), stats.steps,
-                            tuple(found))
         return UnitResult(
             violations=set(),
             steps=stats.steps,
@@ -948,10 +831,7 @@ def _execute_mine(
                     )
     if per_member is None:
         found.sort(key=match_items_key)
-        found = tuple(found)
-        if match_store is not None:
-            match_store.put(_store_key(group, unit), stats.steps, found)
-        payload = ("shared", found)
+        payload = ("shared", tuple(found))
     else:
         payload = (
             "members",
@@ -974,7 +854,6 @@ def _execute_count(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-    match_store: Optional["MatchStore"] = None,
 ) -> UnitResult:
     """Discovery's counting phase: tally proposed dependencies.
 
@@ -988,30 +867,23 @@ def _execute_count(
     dominate the tally traffic (``satisfied`` can only tick inside a
     supported match, so ``supported == 0`` implies nothing to report).
 
-    On a warm shard the enumeration the ``mine`` phase deposited in the
-    match store replays here — the counting phase of a persistent-pool
-    ``discover()`` runs zero VF2 on resident blocks.  On the factorised
-    path the ``mine`` phase's eliminations, resident beside the block's
-    matcher, serve here the same way.
+    On the factorised path the ``mine`` phase's eliminations, resident
+    beside the block's matcher, serve here — the counting phase of a
+    warm ``discover()`` runs zero VF2.  Otherwise the unit enumerates.
     """
+    if group.eval_mode != "enumerate":
+        result = _factorised_count(
+            group, unit, materialiser,
+            strict=group.eval_mode == "factorised",
+        )
+        if result is not None:
+            return result
     member_deps = group.payload
     counts = [
         [[0, 0] for _ in deps] for deps in member_deps
     ]
-    replay = _replayed(group, unit, materialiser, match_store)
-    if replay is not None:
-        steps, items, block = replay
-        matches = (dict(match_items) for match_items in items)
-    else:
-        if group.eval_mode != "enumerate":
-            result = _factorised_count(
-                group, unit, materialiser,
-                strict=group.eval_mode == "factorised",
-            )
-            if result is not None:
-                return result
-        stats = MatchStats()
-        block, matches = _pinned_matches(group, unit, materialiser, stats)
+    stats = MatchStats()
+    block, matches = _pinned_matches(group, unit, materialiser, stats)
     for match in matches:
         for member_pos, deps in enumerate(member_deps):
             for dep_pos, (lhs, rhs) in enumerate(deps):
@@ -1023,10 +895,10 @@ def _execute_count(
                     tally[1] += 1
     return UnitResult(
         violations=set(),
-        steps=steps if replay is not None else stats.steps,
+        steps=stats.steps,
         block_size=unit.block_size,
         payload=_sparse_tallies(counts),
-        enumerated=replay is None,
+        enumerated=True,
     )
 
 
@@ -1194,7 +1066,7 @@ def run_units(
 
     ``backend`` is the one executor of the run: a
     :class:`~repro.parallel.executors.SimulatedExecutor` (serial,
-    in-process, over its block materialiser and optional match store)
+    in-process, over its block materialiser)
     or a started :class:`~repro.parallel.executors.MultiprocessExecutor`
     (a session's supervised pool, shipping warm through its own shard
     mirror).  ``sigma_key`` and ``plan_key`` name the rule set and the

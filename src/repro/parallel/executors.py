@@ -120,17 +120,18 @@ import threading
 import time
 import traceback
 import warnings
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 from typing import (
-    Deque, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+    Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING,
 )
 
 from ..graph.graph import PropertyGraph
 from ..graph.snapshot import GraphSnapshot
-from ..graph.updates import apply_op, is_structural, op_nodes
+from ..graph.updates import apply_op, op_nodes
 from ..core.gfd import GFD
 from .faults import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -481,193 +482,12 @@ def _graph_from_snapshot(
     return g
 
 
-@dataclass
-class MatchStoreStats:
-    """One run's slice of a :class:`MatchStore`'s activity.
-
-    ``hits`` counts work units that *replayed* resident matches instead
-    of re-running VF2 enumeration (discovery's ``count``/``confirm``
-    phases over blocks the ``mine`` phase left resident — and a warm
-    repeated ``mine`` itself); ``misses`` counts units that consulted
-    the store and had to enumerate (cold, evicted, or never stored);
-    ``stored``/``evicted`` count entry writes and budget evictions.
-    Zero VF2 re-enumeration on a warm phase shows up here as
-    ``misses == 0`` with ``hits > 0`` — the counter the discovery
-    benchmark asserts.
-    """
-
+class _StoreCounters(NamedTuple):
     hits: int = 0
     misses: int = 0
-    stored: int = 0
-    evicted: int = 0
-
-    def merge(self, other: "MatchStoreStats") -> "MatchStoreStats":
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stored += other.stored
-        self.evicted += other.evicted
-        return self
 
 
-#: total matches retained per store (sum of entry lengths): bounds the
-#: worker-resident match memory at O(budget); past it, least-recently-
-#: used entries are dropped and their units transparently fall back to
-#: re-enumeration.
-MATCH_STORE_BUDGET = 200_000
-
-
-class MatchStore:
-    """Budget-bounded LRU of enumerated pinned-match lists.
-
-    Discovery's ``mine`` units enumerate every pinned match of a
-    ``(leader pattern, pivot candidate, block)`` triple; the ``count``
-    and ``confirm`` phases of the same ``discover()`` call need exactly
-    those matches again.  A worker process keeps one store per resident
-    shard (next to its block cache), keyed by the triple's *content* —
-    so a hit is semantically safe whatever rule set is currently live —
-    and scoped by the shard's lifetime: a full or delta reshipment drops
-    the store with the shard it described.
-
-    Only *enumerating* units deposit: a ``mine`` unit answered by the
-    factorised plan (``eval_mode`` ``"auto"``/``"factorised"``, see
-    :mod:`repro.matching.factorised`) never materialises matches, so it
-    leaves the store untouched and the count phase factorises too
-    instead of replaying.  Replay is checked *before* factorisation
-    either way, so a warm store keeps winning under ``"auto"``.
-
-    Entries record the enumeration's deterministic ``steps`` alongside
-    the canonical leader-space match tuples, so a replayed unit charges
-    the *identical* simulated cost a fresh enumeration would — warmth
-    is a wall-clock win only, and cluster reports stay backend- and
-    replay-invariant.  ``budget`` bounds the summed entry *charges* —
-    ``max(1, len(matches))``, so even an empty enumeration (worth
-    replaying: discovering "no pinned match" still costs VF2 steps)
-    pays for the key it retains and ages out of the LRU like any other
-    entry, and ``budget=0`` refuses everything (the documented "off"
-    switch).  An enumeration exceeding the whole budget on its own is
-    simply not stored.  Thread-safe for the coordinator path (the
-    session shares one across simulated runs), same locking discipline
-    as :class:`~repro.parallel.engine.BlockMaterialiser`.
-    """
-
-    def __init__(self, budget: int = MATCH_STORE_BUDGET) -> None:
-        self.budget = budget
-        #: cumulative counters (per-run slices via :meth:`take_stats`)
-        self.hits = 0
-        self.misses = 0
-        self.stored = 0
-        self.evicted = 0
-        #: cumulative entries dropped by targeted invalidation
-        #: (:meth:`apply_ops`) — distinct from budget ``evicted``
-        self.invalidated = 0
-        self._retained = 0  #: guarded-by: _lock
-        self._lock = threading.RLock()
-        self._run_stats = MatchStoreStats()  #: guarded-by: _lock
-        #: guarded-by: _lock
-        self._entries: "OrderedDict[tuple, Tuple[int, tuple]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def retained(self) -> int:
-        """Summed entry charges currently resident (the budgeted quantity)."""
-        with self._lock:
-            return self._retained
-
-    def get(self, key: tuple) -> Optional[Tuple[int, tuple]]:
-        """The ``(steps, matches)`` entry for ``key``, counting hit/miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._count_miss()
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self._run_stats.hits += 1
-            return entry
-
-    def miss_if_empty(self) -> bool:
-        """Count a miss and return ``True`` when no entry is resident.
-
-        Lets a caller skip building a key that cannot hit — every unit
-        of a validate that no discover preceded — while the unit still
-        reads as a miss in the stats."""
-        with self._lock:
-            if self._entries:
-                return False
-            self._count_miss()
-            return True
-
-    def _count_miss(self) -> None:  #: holds: _lock
-        self.misses += 1
-        self._run_stats.misses += 1
-
-    @staticmethod
-    def _charge(matches: tuple) -> int:
-        """Budget charge of one entry (≥ 1: the key itself has a cost)."""
-        return max(1, len(matches))
-
-    def put(self, key: tuple, steps: int, matches: tuple) -> bool:
-        """Retain one enumeration; ``False`` if it alone exceeds the budget."""
-        charge = self._charge(matches)
-        if charge > self.budget:
-            return False
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._retained -= self._charge(previous[1])
-            self._entries[key] = (steps, matches)
-            self._retained += charge
-            self.stored += 1
-            self._run_stats.stored += 1
-            while self._retained > self.budget and len(self._entries) > 1:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._retained -= self._charge(evicted)
-                self.evicted += 1
-                self._run_stats.evicted += 1
-            return True
-
-    def clear(self) -> None:
-        """Drop every entry (the backing shard changed)."""
-        with self._lock:
-            self._entries.clear()
-            self._retained = 0
-
-    def apply_ops(self, ops) -> int:
-        """Targeted invalidation for a batch of graph update ops.
-
-        Entries are keyed ``(pattern, pivot assignment, block nodes)``
-        and hold purely *structural* match tuples — consumers re-read
-        attribute values from the (patched) block at evaluation time —
-        so attribute ops never invalidate anything.  A structural op can
-        only change the match set of a block holding all its nodes: those
-        entries are dropped, everything else stays resident.  Returns the
-        number of entries invalidated (also summed into ``invalidated``).
-        """
-        touched = [op_nodes(op) for op in ops if is_structural(op)]
-        if not touched:
-            return 0
-        with self._lock:
-            doomed = []
-            for key in self._entries:
-                for nodes in touched:
-                    if key[2].issuperset(nodes):
-                        doomed.append(key)
-                        break
-            for key in doomed:
-                _, matches = self._entries.pop(key)
-                self._retained -= self._charge(matches)
-            self.invalidated += len(doomed)
-            return len(doomed)
-
-    def take_stats(self) -> MatchStoreStats:
-        """Return and reset the per-run counters (cumulative ones stay)."""
-        with self._lock:
-            stats = self._run_stats
-            self._run_stats = MatchStoreStats()
-            return stats
+_ZERO_STORE_COUNTERS = _StoreCounters()
 
 
 @dataclass
@@ -703,9 +523,7 @@ class ShippingStats:
     :class:`ShardPlane`): mapped volume is resident-shared, not copied
     through a pipe, so it is deliberately **excluded** from
     ``shard_bytes`` — a co-located shm run reports ``mapped_bytes > 0``
-    with ``shard_bytes ≈ 0``.  ``match_store`` carries the run's
-    worker-resident match-store activity (``None`` until a process run
-    reports).  ``block_cache`` likewise aggregates the workers'
+    with ``shard_bytes ≈ 0``.  ``block_cache`` aggregates the workers'
     resident block-materialiser activity for the run — after a delta
     shipment, ``builds == 0`` with ``patched > 0`` is the proof that
     the workers patched their materialised blocks in place instead of
@@ -724,7 +542,6 @@ class ShippingStats:
     mapped_bytes: int = 0
     payload_bytes: int = 0
     plan_bytes: int = 0
-    match_store: Optional[MatchStoreStats] = None
     block_cache: Optional["MaterialiserStats"] = None
     #: fault-handling activity (``None`` until a process run reports); a
     #: recovered run's shipping counters include recovery re-shipments —
@@ -753,10 +570,6 @@ class ShippingStats:
         self.mapped_bytes += other.mapped_bytes
         self.payload_bytes += other.payload_bytes
         self.plan_bytes += other.plan_bytes
-        if other.match_store is not None:
-            if self.match_store is None:
-                self.match_store = MatchStoreStats()
-            self.match_store.merge(other.match_store)
         if other.block_cache is not None:
             if self.block_cache is None:
                 from .engine import MaterialiserStats
@@ -771,6 +584,13 @@ class ShippingStats:
         self.gc_pause_max = max(self.gc_pause_max, other.gc_pause_max)
         self.worker_pids.update(other.worker_pids)
         return self
+
+    @property
+    def match_store(self) -> _StoreCounters:
+        """Always zero: there is no match store.  Read only by
+        ``perfbench/common.py`` (``add_shipping``), which still reports
+        ``executors.match_store_hits``/``_misses``."""
+        return _ZERO_STORE_COUNTERS
 
 
 class PlanKey:
@@ -1001,11 +821,6 @@ class ShardCache:
 class _ResidentShard:
     """A worker process's cached state for one (epoch, slot).
 
-    ``match_store`` is the slot's worker-resident match cache (see
-    :class:`MatchStore`): populated by ``mine`` units, replayed by
-    ``count``/``detect`` units, and scoped to the shard — reshipping or
-    patching the shard drops it, reusing the shard keeps it warm.
-
     ``segment`` is the worker's handle on the shared-memory segment a
     mapped shard is backed by (``None`` on the pickle path), closed via
     :meth:`release_segment` when the shard is dropped or patched.
@@ -1016,16 +831,13 @@ class _ResidentShard:
     """
 
     __slots__ = (
-        "sigma", "shard", "materialiser", "match_store", "segment", "plan",
+        "sigma", "shard", "materialiser", "segment", "plan",
     )
 
-    def __init__(
-        self, sigma, shard, materialiser, match_store, segment=None
-    ) -> None:
+    def __init__(self, sigma, shard, materialiser, segment=None) -> None:
         self.sigma = sigma
         self.shard = shard
         self.materialiser = materialiser
-        self.match_store = match_store
         self.segment = segment
         self.plan: Optional[List[WorkUnit]] = None
 
@@ -1033,13 +845,12 @@ class _ResidentShard:
         """Install a new rule set over the resident shard.
 
         Discovery's phases, a mined-Σ confirmation pass and a base
-        validate in between all swap Σ over the same shard.  Blocks,
-        snapshots and resident matches stay warm, and so do the matchers
-        of every pattern in the outgoing or the incoming Σ.  Matchers and
-        matches are keyed by pattern *content*, so the next phase reuses
-        the factorised plans and replays the matches an earlier one
-        built, while matchers of older rule sets are dropped, not
-        accumulated.
+        validate in between all swap Σ over the same shard.  Blocks and
+        snapshots stay warm, and so do the matchers of every pattern in
+        the outgoing or the incoming Σ.  Matchers are keyed by pattern
+        *content*, so the next phase reuses the factorised plans and the
+        per-pin eliminations an earlier one built, while matchers of
+        older rule sets are dropped, not accumulated.
         """
         previous = self.sigma
         self.sigma = unpack_shard(sigma_blob)
@@ -1085,7 +896,7 @@ def _run_slot(
     from .engine import BlockMaterialiser, run_slot
 
     if mode == "full":
-        epoch, sigma_blob, shard_ref, match_budget = payload
+        epoch, sigma_blob, shard_ref = payload
         shard, segment = attach_shard_ref(shard_ref)
         if faults is not None:
             faults.after_attach()
@@ -1096,8 +907,7 @@ def _run_slot(
         for key in [k for k in cache if k[1] == slot]:
             cache.pop(key).release_segment()
         entry = _ResidentShard(
-            unpack_shard(sigma_blob), shard, BlockMaterialiser(shard),
-            MatchStore(match_budget), segment,
+            unpack_shard(sigma_blob), shard, BlockMaterialiser(shard), segment,
         )
         cache[(epoch, slot)] = entry
     elif mode == "delta":
@@ -1115,11 +925,10 @@ def _run_slot(
             shard.add_node(node, label, attrs)
         for src, dst, label in add_edges:
             shard.add_edge(src, dst, label)
-        # Targeted invalidation, not a rebuild (see both apply_ops).  The
+        # Targeted invalidation, not a rebuild (see apply_ops).  The
         # block-share extension cannot touch a cached block: its nodes
         # were absent from the resident share, hence from every block.
         entry.materialiser.apply_ops(ops)
-        entry.match_store.apply_ops(ops)
         if sigma_blob is not None:
             entry.swap_sigma(sigma_blob)
     else:  # reuse: shard, snapshot *and* block cache stay warm
@@ -1132,8 +941,7 @@ def _run_slot(
     else:
         entry.plan = list(units)
     return run_slot(
-        entry.sigma, units, entry.materialiser, entry.match_store,
-        faults=faults, progress=progress,
+        entry.sigma, units, entry.materialiser, faults=faults, progress=progress,
         phase=unpack_shard(phase_blob) if phase_blob is not None else None,
     )
 
@@ -1322,21 +1130,15 @@ def _persistent_worker_main(
                     faults=faults, progress=progress,
                 )
                 replies.append((slot, _pack_results(slot_results)))
-            # Per-batch match-store and block-cache slices, summed over
-            # this worker's resident shards (untouched entries contribute
-            # zeros) — the coordinator aggregates these into the run's
-            # ShippingStats.
+            # Per-batch block-cache slices, summed over this worker's
+            # resident shards (untouched entries contribute zeros) — the
+            # coordinator aggregates these into the run's ShippingStats.
             from .engine import MaterialiserStats
 
-            store_stats = MatchStoreStats()
             cache_stats = MaterialiserStats()
             for entry in cache.values():
-                store_stats.merge(entry.match_store.take_stats())
                 cache_stats.merge(entry.materialiser.take_stats())
-            reply = (
-                "ok", pid, replies, store_stats, cache_stats,
-                gc_watch.take(),
-            )
+            reply = ("ok", pid, replies, cache_stats, gc_watch.take())
         except BaseException:
             reply = ("err", pid, traceback.format_exc())
         finally:
@@ -1388,13 +1190,8 @@ class SimulatedExecutor:
     #: nothing travels, so there is never a shipping record
     last_shipping: Optional["ShippingStats"] = None
 
-    def __init__(
-        self,
-        materialiser: Optional["BlockMaterialiser"] = None,
-        match_store: Optional[MatchStore] = None,
-    ):
+    def __init__(self, materialiser: Optional["BlockMaterialiser"] = None):
         self.materialiser = materialiser
-        self.match_store = match_store
 
     def run(
         self,
@@ -1421,10 +1218,7 @@ class SimulatedExecutor:
         if materialiser is None:
             materialiser = BlockMaterialiser(graph)
         return [
-            run_slot(
-                sigma, worker_units, materialiser, self.match_store,
-                phase=phase,
-            )
+            run_slot(sigma, worker_units, materialiser, phase=phase)
             for worker_units in plan
         ]
 
@@ -1589,10 +1383,7 @@ class _PersistentRun:
                 blob = pack_shard(data)
                 ref = ("pickle", blob)
                 stats.shard_bytes += len(blob)
-            payload = (
-                self.epoch, self._sigma_blob, ref,
-                self.pool.match_store_budget,
-            )
+            payload = (self.epoch, self._sigma_blob, ref)
             stats.full += 1
             stats.shipped_nodes += data.num_nodes
         elif mode == "delta":
@@ -1896,7 +1687,6 @@ class MultiprocessExecutor:
         self,
         processes: Optional[int] = None,
         start_method: Optional[str] = None,
-        match_store_budget: int = MATCH_STORE_BUDGET,
         ship_mode: str = "auto",
         fault_policy: Optional[FaultPolicy] = None,
     ) -> None:
@@ -1910,9 +1700,6 @@ class MultiprocessExecutor:
         self._plane: Optional[ShardPlane] = None
         #: mirror of the workers' resident caches (``None`` while down)
         self.shard_cache: Optional[ShardCache] = None
-        #: worker-resident match-store budget (matches retained per
-        #: resident shard); shipped with every full shard payload.
-        self.match_store_budget = match_store_budget
         if start_method is None:
             # Prefer fork only on Linux: macOS lists it but its system
             # libraries are not fork-safe (intermittent aborts once the
@@ -2168,8 +1955,7 @@ class MultiprocessExecutor:
             self.shard_cache.invalidate()
         self.shard_cache.sync(graph)
         stats = ShippingStats(
-            match_store=MatchStoreStats(), block_cache=MaterialiserStats(),
-            faults=FaultStats(),
+            block_cache=MaterialiserStats(), faults=FaultStats(),
         )
         # Shipping decisions, dispatch and supervision (heartbeats,
         # retry/requeue, respawn, degrade) all live in _PersistentRun;
@@ -2180,8 +1966,7 @@ class MultiprocessExecutor:
             resolve_fault_policy(self.fault_policy), plan_key, phase,
         ).execute()
         results: Dict[int, List["UnitResult"]] = {}
-        for _, pid, pairs, store_stats, cache_stats, gc_stats in replies:
-            stats.match_store.merge(store_stats)
+        for _, pid, pairs, cache_stats, gc_stats in replies:
             stats.block_cache.merge(cache_stats)
             stats.gc_full_collections += gc_stats[0]
             stats.gc_pause_max = max(stats.gc_pause_max, gc_stats[1])

@@ -227,7 +227,7 @@ class GraphPattern:
         (For isomorphism-invariant grouping see
         :func:`repro.pattern.containment.canonical_form`.)  Computed once
         and cached until the next ``add_node``/``add_edge``: matcher
-        tables and match stores hash patterns on every lookup.
+        and elimination tables hash patterns on every lookup.
         """
         sig = self._sig
         if sig is None:
@@ -242,7 +242,7 @@ class GraphPattern:
         return self.signature() == other.signature()
 
     def __hash__(self) -> int:
-        # Matcher tables and match stores hash the leader pattern once
+        # Matcher and elimination tables hash the leader pattern once
         # per work unit; the nested signature tuple is hashed only once.
         value = self._hash
         if value is None:

@@ -35,10 +35,10 @@ FO+MOD queries under updates on bounded degree databases", PAPERS.md):
 for bounded-shape patterns, near-constant delay per update is
 achievable.  The engineering counterpart here is that the whole warm
 path is O(|Δ|) per batch — the incremental validator re-checks only
-matches around the touched nodes, the session's caches take *targeted*
-invalidation (``BlockMaterialiser.apply_ops`` / ``MatchStore.
-apply_ops``), and process-backed runs forward the same ops to worker
-shards, which patch their materialised blocks in place.
+matches around the touched nodes, the session's block cache takes
+*targeted* invalidation (``BlockMaterialiser.apply_ops``), and
+process-backed runs forward the same ops to worker shards, which patch
+their materialised blocks in place.
 
 Example::
 

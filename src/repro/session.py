@@ -102,9 +102,6 @@ from .parallel.engine import (
 )
 from .parallel.executors import (
     EXECUTORS,
-    MATCH_STORE_BUDGET,
-    MatchStore,
-    MatchStoreStats,
     MultiprocessExecutor,
     PlanKey,
     ShippingStats,
@@ -144,13 +141,12 @@ class DiscoveryPhase:
     (``shipping`` on process runs, ``cache`` on simulated ones).
 
     ``wall_seconds`` is the phase's measured wall-clock (planning,
-    execution and result folding); ``match_store`` records the resident
-    match-store activity — on a warm pool the ``count`` and ``confirm``
-    phases replay what ``mine`` enumerated, showing up here as
-    ``misses == 0`` with ``hits > 0``.  ``vf2_units`` counts the units
-    that actually ran a VF2 enumeration — zero across ``enumerate`` and
-    ``count`` when every candidate pattern evaluated factorised (the
-    default for the acyclic patterns discovery proposes).
+    execution and result folding).  ``vf2_units`` counts the units that
+    actually ran a VF2 enumeration; every other unit was answered from
+    its block's resident factorised eliminations.  It is zero across
+    ``enumerate`` and ``count`` when every candidate pattern evaluated
+    factorised (the default for the acyclic patterns discovery
+    proposes), and every unit under ``eval_mode="enumerate"``.
     """
 
     phase: str
@@ -160,7 +156,6 @@ class DiscoveryPhase:
     shipping: Optional[ShippingStats] = None
     cache: Optional[MaterialiserStats] = None
     wall_seconds: float = 0.0
-    match_store: Optional[MatchStoreStats] = None
     vf2_units: int = 0
 
     @property
@@ -233,7 +228,6 @@ class ValidationSession:
         executor: str = "auto",
         processes: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
-        match_store_budget: int = MATCH_STORE_BUDGET,
         ship_mode: str = "auto",
         fault_policy: Optional["FaultPolicy"] = None,
     ) -> None:
@@ -242,8 +236,6 @@ class ValidationSession:
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
         check_process_knobs(processes, ship_mode, fault_policy)
-        if match_store_budget < 0:
-            raise ValueError("match_store_budget must be >= 0")
         self.graph = graph
         self.sigma = list(sigma)
         self.executor = executor
@@ -260,18 +252,12 @@ class ValidationSession:
         #: run time (see ``parallel/faults.py``).
         self.fault_policy = fault_policy
         self.cost_model = cost_model
-        #: matches retained per resident match store (worker-side on the
-        #: process backend, coordinator-side on the simulated one);
-        #: ``0`` disables resident-match replay entirely.
-        self.match_store_budget = match_store_budget
         self._pool: Optional[MultiprocessExecutor] = None
         self._materialiser: Optional[BlockMaterialiser] = None
         self._materialiser_version = -1
         # the rule set the shared materialiser last served (Σ swaps keep
         # the matchers of the outgoing and the incoming Σ only)
         self._materialiser_sigma: Optional[Sequence[GFD]] = None
-        self._match_store: Optional[MatchStore] = None
-        self._match_store_version = -1
         self._units_cache: Dict[Tuple, List[WorkUnit]] = {}
         # (unit count, plan, plan key) per replicated validate's options
         # and graph version; dropped by every update
@@ -310,7 +296,6 @@ class ValidationSession:
             self._pool = None
         self._materialiser = None
         self._materialiser_sigma = None
-        self._match_store = None
         self._units_cache.clear()
         self._plan_cache.clear()
         self._mining_cache.clear()
@@ -407,10 +392,9 @@ class ValidationSession:
 
         Warm caches survive the batch via *targeted* invalidation: the
         shared block materialiser patches exactly the cached blocks the
-        ops land in (``BlockMaterialiser.apply_ops``) and the resident
-        match store drops exactly the entries a structural op touches
-        (``MatchStore.apply_ops``), so a session absorbing an update
-        stream does O(|Δ|) maintenance work per batch.  An empty ``ops``
+        ops land in (``BlockMaterialiser.apply_ops``), so a session
+        absorbing an update stream does O(|Δ|) maintenance work per
+        batch.  An empty ``ops``
         list is a true no-op: no cache activity, no version marks.
 
         A malformed batch raises before anything changes; an op the graph
@@ -449,9 +433,6 @@ class ValidationSession:
             if self._materialiser is not None:
                 self._materialiser.apply_ops(ops)
                 self._materialiser_version = self.graph._version
-            if self._match_store is not None:
-                self._match_store.apply_ops(ops)
-                self._match_store_version = self.graph._version
             self._violations = set(self._incremental.violations)
             self._violations_version = self.graph._version
         return diff
@@ -581,14 +562,12 @@ class ValidationSession:
                 probes, fragmentation, plan, cluster, materialiser
             )
         if resolved == "simulated":
-            match_store = self._shared_match_store()
-            backend = SimulatedExecutor(materialiser, match_store)
+            backend = SimulatedExecutor(materialiser)
         else:
-            match_store, backend = None, self._started_pool(processes)
+            backend = self._started_pool(processes)
         # Mine units fold matches into mergeable evidence aggregates by
         # default — O(vars × attrs) per unit on the wire instead of
-        # O(matches) — and deposit their enumerations in the resident
-        # match store for the later phases to replay.  An explicit
+        # O(matches).  An explicit
         # seeded evidence sample needs the match lists themselves: that
         # is one of the two documented fallbacks to match shipping (the
         # other — a pattern whose ``max_matches`` cap bites — is
@@ -664,11 +643,10 @@ class ValidationSession:
                     proposals[index] = aggregate.propose(pattern, max_attrs)
             if need_fetch:
                 # The capped fallback: re-request match lists for the
-                # affected groups.  On a persistent pool the units
-                # replay their resident enumerations (zero VF2, zero
-                # block-shares); simulated runs replay the coordinator
-                # store.  Identical deterministic steps are charged
-                # either way, so reports stay backend-invariant.
+                # affected groups.  The units re-enumerate on their warm
+                # blocks (zero block-shares), charging the deterministic
+                # steps of that enumeration, so reports stay
+                # backend-invariant.
                 fetch_indices = frozenset(need_fetch)
                 fetch_phase = UnitPhase(
                     kind="mine", eval_mode="enumerate",
@@ -715,7 +693,6 @@ class ValidationSession:
             shipping=mine_shipping,
             cache=materialiser.take_stats() if materialiser else None,
             wall_seconds=time.perf_counter() - phase_started,
-            match_store=_phase_store_stats(match_store, mine_shipping),
             vf2_units=mine_vf2,
         ))
 
@@ -793,16 +770,14 @@ class ValidationSession:
                         for pos, sup, sat in member_counts:
                             tallies[pos][0] += sup
                             tallies[pos][1] += sat
-            count_shipping = backend.last_shipping
             phases.append(DiscoveryPhase(
                 phase="count",
                 report=count_cluster.report(),
                 num_units=sum(len(slot) for slot in count_plan),
                 executor=resolved,
-                shipping=count_shipping,
+                shipping=backend.last_shipping,
                 cache=materialiser.take_stats() if materialiser else None,
                 wall_seconds=time.perf_counter() - phase_started,
-                match_store=_phase_store_stats(match_store, count_shipping),
                 vf2_units=_count_enumerations(count_results),
             ))
 
@@ -835,7 +810,7 @@ class ValidationSession:
         if confirm and rules:
             violations, phase = self._confirm_mined(
                 rules, patterns, probes, groups, plan, workers,
-                backend, materialiser, match_store, probe_key,
+                backend, materialiser, probe_key,
             )
             phases.append(phase)
 
@@ -851,7 +826,7 @@ class ValidationSession:
 
     def _confirm_mined(
         self, rules, patterns, probes, groups, plan, workers,
-        backend, materialiser, match_store, probe_key,
+        backend, materialiser, probe_key,
     ) -> Tuple[Set[Violation], DiscoveryPhase]:
         """Validate the mined Σ over the mining plan.
 
@@ -860,10 +835,9 @@ class ValidationSession:
         phase whose groups hold the mined members — same slots, same
         block node sets.  Per-slot
         ``needed`` is therefore a subset of what mining left resident:
-        the pass ships zero block-shares, only the mined Σ itself — and
-        replays the resident enumerations the ``mine`` phase deposited
-        (the store keys by pattern content, which the Σ swap preserves),
-        so confirmation runs zero VF2 on warm blocks.  Probes prefix the
+        the pass ships zero block-shares, only the mined Σ itself.  Each
+        unit enumerates its witnesses afresh with VF2 over its warm block
+        (the Σ swap keeps the block's matchers).  Probes prefix the
         shipped Σ so leader indices keep naming the enumerated pattern;
         dependency-free probes produce no violations.
         """
@@ -911,16 +885,14 @@ class ValidationSession:
             for result in slot_results:
                 if result is not None:
                     violations |= result.violations
-        shipping = backend.last_shipping
         phase = DiscoveryPhase(
             phase="confirm",
             report=cluster.report(),
             num_units=sum(len(slot) for slot in confirm_plan),
             executor=backend.name,
-            shipping=shipping,
+            shipping=backend.last_shipping,
             cache=materialiser.take_stats() if materialiser else None,
             wall_seconds=time.perf_counter() - phase_started,
-            match_store=_phase_store_stats(match_store, shipping),
             vf2_units=_count_enumerations(results),
         )
         return violations, phase
@@ -990,23 +962,6 @@ class ValidationSession:
             self._materialiser_sigma = sigma
         return self._materialiser
 
-    def _shared_match_store(self) -> MatchStore:
-        """The simulated backend's resident match store.
-
-        The coordinator-side mirror of what worker processes keep next
-        to their shard caches: populated by discovery's ``mine`` units,
-        replayed by ``count``/``confirm``, version-guarded exactly like
-        :meth:`_shared_materialiser` (a structural version the session
-        did not witness drops every resident enumeration).
-        """
-        if self._match_store is None:
-            self._match_store = MatchStore(self.match_store_budget)
-            self._match_store_version = self.graph._version
-        elif self._match_store_version != self.graph._version:
-            self._match_store.clear()
-            self._match_store_version = self.graph._version
-        return self._match_store
-
     def _started_pool(self, processes: Optional[int]) -> MultiprocessExecutor:
         """The session's started worker pool, for a process run.
 
@@ -1025,7 +980,6 @@ class ValidationSession:
         if self._pool is None:
             self._pool = MultiprocessExecutor(
                 processes=processes,
-                match_store_budget=self.match_store_budget,
                 ship_mode=self.ship_mode,
                 fault_policy=self.fault_policy,
             )
@@ -1242,7 +1196,7 @@ class ValidationSession:
 def _count_enumerations(results) -> int:
     """Units of a phase that actually ran a VF2 enumeration.
 
-    Replayed and factorised units report ``enumerated=False``, so this
+    Factorised units report ``enumerated=False``, so this
     is exactly the phase's :attr:`DiscoveryPhase.vf2_units`.
     """
     return sum(
@@ -1251,20 +1205,6 @@ def _count_enumerations(results) -> int:
         for result in slot
         if result is not None and result.enumerated
     )
-
-
-def _phase_store_stats(
-    match_store: Optional[MatchStore], shipping: Optional[ShippingStats]
-) -> Optional[MatchStoreStats]:
-    """One phase's match-store activity, whichever backend ran it.
-
-    Simulated runs read (and reset) the coordinator store's per-run
-    slice; process runs report what the workers' resident stores did,
-    already aggregated into the run's shipping record.
-    """
-    if match_store is not None:
-        return match_store.take_stats()
-    return shipping.match_store if shipping is not None else None
 
 
 def _gather_match_lists(

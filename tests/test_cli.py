@@ -311,7 +311,7 @@ class TestDiscoverCommand:
         assert strip(out.getvalue()) == strip(baseline.getvalue())
         assert "# verified (process):" in out.getvalue()
         # The process run reports its data path: per-phase byte counts
-        # and the count/confirm resident-match replay.
+        # and how many units ran VF2.
         assert "unit-payload byte(s)" in out.getvalue()
 
     def test_discover_exit_2_on_confidence_one_inconsistency(

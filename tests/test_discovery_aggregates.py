@@ -9,7 +9,8 @@ match list* — whatever the graph, however the matches are partitioned
 into units and workers, and however the partial aggregates are merged.
 This suite is the property-level lock on that contract, plus the two
 documented match-shipping fallbacks (the ``max_matches`` cap and the
-explicit seeded evidence sample) and the budget knob's degradation path.
+explicit seeded evidence sample), which re-enumerate their units with
+VF2 whatever ran before them on the session.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 from repro import (
     EvidenceAggregate,
     ValidationSession,
+    det_vio,
     discover_gfds,
     power_law_graph,
 )
@@ -254,8 +256,21 @@ class TestFactorisedEquivalence:
         assert keys["auto"] == keys["factorised"] == keys["enumerate"]
 
 
+def rule_keys(rules):
+    return [(d.gfd.name, d.support, d.confidence) for d in rules]
+
+
+#: every (eval mode, executor, processes) the match-shipping fallbacks
+#: must agree with serial mining under
+FALLBACK_MATRIX = [
+    pytest.param(mode, executor, processes, id=f"{mode}-{executor}")
+    for mode in ("auto", "enumerate")
+    for executor, processes in (("simulated", None), ("process", 2))
+]
+
+
 class TestFallbackPaths:
-    """The two documented match-shipping fallbacks, plus the budget knob."""
+    """The two documented match-shipping fallbacks and the eval modes."""
 
     @pytest.fixture(scope="class")
     def mining_graph(self):
@@ -265,55 +280,37 @@ class TestFallbackPaths:
             edge_labels=["knows", "in", "for"],
         )
 
-    @pytest.mark.parametrize("executor,processes", [
-        ("simulated", None), ("process", 2),
-    ])
+    @pytest.mark.parametrize("eval_mode,executor,processes", FALLBACK_MATRIX)
     def test_seeded_sample_falls_back_to_match_shipping(
-        self, mining_graph, executor, processes
+        self, mining_graph, eval_mode, executor, processes
     ):
         serial = discover_gfds(mining_graph, sample_size=12, seed=4, **PARAMS)
+        assert serial
         with ValidationSession(
             mining_graph, [], executor=executor, processes=processes
         ) as session:
-            run = session.discover(n=3, sample_size=12, seed=4, **PARAMS)
-        assert [(d.gfd.name, d.support, d.confidence) for d in run.rules] \
-            == [(d.gfd.name, d.support, d.confidence) for d in serial]
+            run = session.discover(
+                n=3, sample_size=12, seed=4, eval_mode=eval_mode, **PARAMS
+            )
+        assert rule_keys(run.rules) == rule_keys(serial)
+        assert run.violations == det_vio(run.sigma, mining_graph)
 
-    @pytest.mark.parametrize("executor,processes", [
-        ("simulated", None), ("process", 2),
-    ])
+    @pytest.mark.parametrize("eval_mode,executor,processes", FALLBACK_MATRIX)
     def test_capped_pattern_falls_back_to_match_fetch(
-        self, mining_graph, executor, processes
+        self, mining_graph, eval_mode, executor, processes
     ):
         serial = discover_gfds(mining_graph, max_matches=15, **PARAMS)
         with ValidationSession(
             mining_graph, [], executor=executor, processes=processes
         ) as session:
-            run = session.discover(n=3, max_matches=15, **PARAMS)
-        assert [(d.gfd.name, d.support, d.confidence) for d in run.rules] \
-            == [(d.gfd.name, d.support, d.confidence) for d in serial]
+            run = session.discover(
+                n=3, max_matches=15, eval_mode=eval_mode, **PARAMS
+            )
+        assert rule_keys(run.rules) == rule_keys(serial)
         assert run.capped_rules or any(
             d.support == 15 for d in run.rules
         )  # the cap demonstrably engaged somewhere
-
-    def test_zero_match_budget_disables_replay_not_correctness(
-        self, mining_graph
-    ):
-        serial = discover_gfds(mining_graph, **PARAMS)
-        with ValidationSession(
-            mining_graph, [], executor="process", processes=2,
-            match_store_budget=0,
-        ) as session:
-            run = session.discover(n=3, **PARAMS)
-            count_phase = run.phase("count")
-        assert [(d.gfd.name, d.support, d.confidence) for d in run.rules] \
-            == [(d.gfd.name, d.support, d.confidence) for d in serial]
-        # Nothing was resident, so counting re-enumerated — and still
-        # shipped zero block-shares (the shard stays warm regardless).
-        store = count_phase.match_store
-        assert store is not None and store.hits == 0
-        assert count_phase.shipping.full == 0
-        assert count_phase.shipping.shipped_nodes == 0
+        assert run.violations == det_vio(run.sigma, mining_graph)
 
     @pytest.mark.parametrize("executor,processes", [
         ("simulated", None), ("process", 2),
@@ -333,26 +330,43 @@ class TestFallbackPaths:
                 run = session.discover(n=3, eval_mode=mode, **PARAMS)
             assert [(d.gfd.name, d.support, d.confidence)
                     for d in run.rules] == reference, (executor, mode)
-            if mode == "factorised":
-                # Strict mode: zero VF2 enumerations in mine and count.
+            if mode in ("auto", "factorised"):
+                # Every candidate pattern here factorises: zero VF2
+                # enumerations in mine and count.
                 assert run.phase("enumerate").vf2_units == 0
                 assert run.phase("count").vf2_units == 0
             if mode == "enumerate":
                 assert run.phase("enumerate").vf2_units > 0
 
-    def test_tiny_match_budget_evicts_and_reenumerates(self, mining_graph):
-        # Pinned under eval_mode="enumerate": the eviction/re-enumeration
-        # degradation path only exists when mining deposits matches.
-        serial = discover_gfds(mining_graph, **PARAMS)
+
+    @pytest.mark.parametrize("executor,processes", [
+        ("simulated", None), ("process", 2),
+    ])
+    def test_auto_after_enumerate_equals_a_fresh_auto_discover(
+        self, mining_graph, executor, processes
+    ):
+        """Enumerating discovers leave nothing an ``"auto"`` one reads:
+        it still answers mine and count from resident eliminations, and
+        mines, confirms and charges exactly what a fresh session does."""
         with ValidationSession(
-            mining_graph, [], executor="process", processes=2,
-            match_store_budget=8,
+            mining_graph, [], executor=executor, processes=processes
+        ) as fresh:
+            reference = fresh.discover(n=3, **PARAMS)
+        with ValidationSession(
+            mining_graph, [], executor=executor, processes=processes
         ) as session:
-            run = session.discover(n=3, eval_mode="enumerate", **PARAMS)
-            count_phase = run.phase("count")
-        assert [(d.gfd.name, d.support, d.confidence) for d in run.rules] \
-            == [(d.gfd.name, d.support, d.confidence) for d in serial]
-        store = count_phase.match_store
-        # Some units miss (their entries were evicted or refused) —
-        # the fallback is transparent re-enumeration, not wrong counts.
-        assert store is not None and store.misses > 0
+            for _ in range(2):
+                session.discover(n=3, eval_mode="enumerate", **PARAMS)
+            run = session.discover(n=3, eval_mode="auto", **PARAMS)
+        assert rule_keys(run.rules) == rule_keys(reference.rules)
+        assert run.sigma == reference.sigma
+        assert run.violations == reference.violations
+        assert [phase.phase for phase in run.phases] == [
+            phase.phase for phase in reference.phases
+        ]
+        for phase in run.phases:
+            fresh_phase = reference.phase(phase.phase)
+            assert phase.report == fresh_phase.report
+            assert phase.vf2_units == fresh_phase.vf2_units, phase.phase
+        assert run.phase("enumerate").vf2_units == 0
+        assert run.phase("count").vf2_units == 0

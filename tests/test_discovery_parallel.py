@@ -142,35 +142,6 @@ class TestProcessDiscoveryDifferential:
                 # wall-clock win only, never a reporting change.
                 assert phase.report == cold.phase(phase.phase).report
 
-    @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_count_and_confirm_replay_resident_matches(self, workloads, seed):
-        """The PR-5 tentpole pin: on a persistent pool the count and
-        confirm phases replay the matches mine left resident — zero VF2
-        re-enumerations (``misses == 0``) — and a warm repeat replays
-        its enumerate phase too.  Replay requires enumerated matches to
-        exist, so this pin runs under ``eval_mode="enumerate"`` (the
-        factorised default deposits nothing — there are no matches to
-        retain)."""
-        graph, serial = workloads[seed]
-        with ValidationSession(
-            graph, [], executor="process", processes=2
-        ) as session:
-            cold = session.discover(n=3, eval_mode="enumerate", **PARAMS)
-            enumerate_store = cold.phase("enumerate").match_store
-            assert enumerate_store.stored > 0  # mine deposited matches
-            for name in ("count", "confirm"):
-                phase = cold.phase(name)
-                if phase is None:
-                    continue
-                assert phase.match_store.misses == 0, name
-                assert phase.match_store.hits > 0, name
-            warm = session.discover(n=3, eval_mode="enumerate", **PARAMS)
-            assert [mined_key(d) for d in warm.rules] == [
-                mined_key(d) for d in serial
-            ]
-            warm_store = warm.phase("enumerate").match_store
-            assert warm_store.misses == 0 and warm_store.hits > 0
-
     def test_aggregate_payloads_ship_fewer_bytes_than_match_lists(
         self, workloads
     ):
@@ -261,7 +232,7 @@ class TestMatcherRetention:
         pattern = sigma[unit.group.leader_index].pattern
         cache = {}
         _run_slot(cache, 0, "full", (
-            "e1", pack_shard(sigma), ("pickle", pack_shard(graph)), 10_000,
+            "e1", pack_shard(sigma), ("pickle", pack_shard(graph)),
         ), units)
         materialiser = cache[("e1", 0)].materialiser
 
@@ -321,7 +292,6 @@ class TestMatcherRetention:
             if step == 0:
                 _run_slot(cache, 0, "full", (
                     "e1", pack_shard(sigma), ("pickle", pack_shard(graph)),
-                    10_000,
                 ), units)
             else:
                 allowed |= patterns(sigmas[step - 1])
@@ -399,22 +369,6 @@ class TestSimulatedDiscoveryDifferential:
         assert warm.phase("enumerate").cache.hits > 0
         for phase in warm.phases:
             assert phase.report == cold.phase(phase.phase).report
-
-    def test_simulated_count_replays_coordinator_store(self, workloads):
-        """The simulated backend keeps a coordinator-side match store
-        with the same replay semantics as the worker-resident ones —
-        and replay never changes the reported cost figures.  Pinned
-        under ``eval_mode="enumerate"``: factorised mining deposits no
-        matches, so there would be nothing to replay."""
-        graph, _ = workloads[0]
-        with ValidationSession(graph, [], executor="simulated") as session:
-            run = session.discover(n=2, eval_mode="enumerate", **PARAMS)
-        count_phase = run.phase("count")
-        assert count_phase.match_store.misses == 0
-        assert count_phase.match_store.hits > 0
-        confirm_phase = run.phase("confirm")
-        if confirm_phase is not None:
-            assert confirm_phase.match_store.misses == 0
 
 
 class TestFragmentedDiscovery:

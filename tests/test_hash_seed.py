@@ -1,11 +1,12 @@
 """Hash-seed differential over the process path.
 
-``validate`` and ``discover`` on the supervised worker pool must print
-the same bytes whatever ``PYTHONHASHSEED`` the coordinator (and so its
-forked workers) runs under: set and dict iteration orders change with
-the seed, results may not.  Each command runs in a fresh interpreter
-per seed, so the seed really differs between runs.  The discover phase
-lines' wall-clock readings legitimately differ and are masked before
+``validate``, ``discover`` and ``serve --replay`` on the supervised
+worker pool must print the same bytes whatever ``PYTHONHASHSEED`` the
+coordinator (and so its forked workers) runs under: set and dict
+iteration orders change with the seed, results may not.  Each command
+runs in a fresh interpreter per seed, so the seed really differs between
+runs.  The discover phase lines' wall-clock readings and the serve
+summary's p99 apply latency legitimately differ and are masked before
 comparing.
 
 The shipped byte counters ``discover`` prints — ``sigma_bytes`` in
@@ -18,7 +19,9 @@ identity.  Aggregates now intern their strings, and
 on a Pokec-like graph whose counters differed under seeds 0–2 before.
 """
 
+import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -27,7 +30,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import save_graph
+from repro import load_graph, save_graph
 from repro.datasets import pokec_like
 
 SEEDS = ("0", "1", "2")
@@ -38,6 +41,9 @@ SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
 #: the one run-dependent field of ``discover``'s per-phase lines
 WALL = re.compile(rb"\d+\.\d+s wall")
+
+#: the one run-dependent field of ``serve --json``'s summary line
+P99 = re.compile(rb'"p99_apply_seconds": [^,}]+')
 
 #: rules that many edges violate, so a seed-dependent order would show
 #: (the generated rules alone find one violation on this graph)
@@ -114,5 +120,45 @@ def test_discover_byte_counters_are_seed_independent(pokec_inputs):
     ]
     assert b"unit-payload byte(s)" in outputs[0]
     assert b"[mined0]" in outputs[0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_serve_replay_json_is_seed_independent(inputs):
+    """The same ops file emits the same diff stream under every seed.
+
+    Batches are cut at exactly ``--batch-ops`` ops (the age watermark
+    is out of reach and the op count is a multiple of it), so each batch
+    coalesces the same ops whatever the timing."""
+    graph = load_graph(str(inputs / "g.jsonl"))
+    rng = random.Random(9)
+    nodes = sorted(graph.nodes(), key=str)
+    edges = sorted(graph.edges(), key=str)
+    ops = []
+    for src, dst, label in rng.sample(edges, 8):
+        ops += [
+            ["attr", rng.choice(nodes), "A0", f"v{rng.randrange(3)}"],
+            ["edge-", src, dst, label],
+            ["edge+", src, dst, label],  # cancels when batched with edge-
+            ["attr", rng.choice(nodes), "A1", f"v{rng.randrange(3)}"],
+            ["attr", dst, "A0", f"v{rng.randrange(3)}"],
+            ["attr", src, "A1", f"v{rng.randrange(3)}"],
+        ]
+    assert len(ops) % 4 == 0
+    (inputs / "ops.jsonl").write_text(
+        "".join(json.dumps(op) + "\n" for op in ops)
+    )
+    outputs = [
+        P99.sub(b'"p99_apply_seconds": null', run_cli(
+            ["serve", "g.jsonl", "rules.gfd", "--replay", "ops.jsonl",
+             "--json", "--batch-ops", "4", "--batch-age", "600", *PROCESS],
+            seed, inputs,
+        ))
+        for seed in SEEDS
+    ]
+    lines = outputs[0].splitlines()
+    assert sum(b'"epoch"' in line for line in lines) > 1  # diffs streamed
+    summary = json.loads(lines[-1])["summary"]
+    assert summary["cancelled"] > 0  # some batches coalesced
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]

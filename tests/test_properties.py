@@ -2,8 +2,9 @@
 
 Each property pins an invariant the paper's machinery relies on:
 matcher completeness vs brute force, closure monotonicity/idempotence,
-LPT's approximation bound, fragmentation coverage, and the equality of
-``Vio(Σ, G)`` across the sequential and parallel algorithms.
+LPT's approximation bound, fragmentation coverage, the equality of
+``Vio(Σ, G)`` across the sequential and parallel algorithms, and the
+service's op coalescing against applying a batch op by op.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import det_vio, generate_gfds, is_satisfiable, build_model
 from repro.core.closure import EqualityClosure
 from repro.core.literals import ConstantLiteral, VariableLiteral
-from repro.graph import PropertyGraph, hash_partition
+from repro.graph import GraphError, PropertyGraph, hash_partition
+from repro.graph.updates import apply_op
 from repro.matching import find_matches
 from repro.parallel import (
     dis_val,
@@ -25,6 +27,7 @@ from repro.parallel import (
     rep_val,
 )
 from repro.pattern import GraphPattern
+from repro.service import coalesce_ops
 
 # ----------------------------------------------------------------------
 # strategies
@@ -257,3 +260,58 @@ def test_satisfiable_sets_admit_models(seed):
             assert next(find_matches(gfd.pattern, model), None) is not None
     else:
         assert model is None
+
+
+# ----------------------------------------------------------------------
+# update coalescing
+# ----------------------------------------------------------------------
+def _coalescing_sigma():
+    from repro.core import parse_gfd
+
+    return [
+        parse_gfd("x:a -e-> y:b", " => x.A = y.A", name="e-equal"),
+        parse_gfd("x:a -f-> y:a", "x.A = y.A => x.B = y.B", name="f-implies"),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=small_graphs(), data=st.data())
+def test_coalesced_batch_equals_op_by_op_application(graph, data):
+    """``coalesce_ops`` then ``apply`` leaves the graph, and so
+    ``Vio(Σ, G)``, exactly as applying the batch one op at a time.
+
+    The stream is drawn against a mirror that applies each op as it is
+    drawn, so it is valid op by op; ops the mirror rejects are dropped.
+    New node ids (past the graph's) make node inserts and edges to
+    fresh nodes part of the stream."""
+    sequential = graph.copy()
+    fresh = [graph.num_nodes, graph.num_nodes + 1]
+    values = st.integers(min_value=0, max_value=2)
+    ops = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=14))):
+        nodes = sorted(sequential.nodes()) + fresh
+        node = data.draw(st.sampled_from(nodes))
+        kind = data.draw(st.sampled_from(("attr", "edge+", "edge-", "node")))
+        if kind == "attr":
+            op = ("attr", node, data.draw(st.sampled_from("AB")),
+                  data.draw(values))
+        elif kind == "node":
+            op = ("node", node, data.draw(st.sampled_from(NODE_LABELS)),
+                  data.draw(st.one_of(st.none(), st.fixed_dictionaries(
+                      {"A": values}))))
+        else:
+            op = (kind, node, data.draw(st.sampled_from(nodes)),
+                  data.draw(st.sampled_from(EDGE_LABELS)))
+        try:
+            apply_op(sequential, op)
+        except GraphError:
+            continue
+        ops.append(op)
+    coalesced, cancelled = coalesce_ops(ops, graph)
+    assert len(coalesced) + cancelled == len(ops)
+    folded = graph.copy()
+    for op in coalesced:
+        apply_op(folded, op)
+    assert folded == sequential
+    sigma = _coalescing_sigma()
+    assert det_vio(sigma, folded) == det_vio(sigma, sequential)

@@ -266,7 +266,7 @@ class TestWorkerLifetime:
         ]
         cache = {}
         _run_slot(cache, 0, "full", (
-            "e1", pack_shard(probes), ("pickle", pack_shard(graph)), 10_000,
+            "e1", pack_shard(probes), ("pickle", pack_shard(graph)),
         ), units)
         materialiser = cache[("e1", 0)].materialiser
         block_nodes, entry = next(

@@ -8,10 +8,6 @@ change that can make a slot's plan stale — an update, a Σ swap, a new
 travels, each run must equal a fresh session's run and serial
 ``det_vio``, in violations and in ``ClusterReport``.
 
-A worker's match store only ever holds what a discover deposited, so a
-validate on a session that never mined must not build one store key or
-make one lookup — each unit still counts as a miss.
-
 Resident plans must be acyclic like the rest of a slot's resident state
 (README "Worker heap"), and the slot loop that runs them resolves each
 group's pattern-level work once, so the last class pins that it returns
@@ -20,7 +16,6 @@ really permutes.
 """
 
 import gc
-import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -36,7 +31,6 @@ from repro.parallel.engine import (
     run_slot,
 )
 from repro.parallel.executors import (
-    MatchStore,
     _run_slot,
     pack_shard,
     unpack_shard,
@@ -130,29 +124,6 @@ class TestWarmValidateShipsNoUnits:
         assert again.report == run.report
 
 
-class TestEmptyMatchStoreIsNotProbed:
-    def test_warm_validate_makes_no_store_lookups(self, workload, monkeypatch):
-        """Workers fork after the patch, so they count into ``lookups``."""
-        lookups = multiprocessing.Value("i", 0)
-        get = MatchStore.get
-
-        def counted_get(self, key):
-            with lookups.get_lock():
-                lookups.value += 1
-            return get(self, key)
-
-        monkeypatch.setattr(MatchStore, "get", counted_get)
-        graph, sigma = workload
-        with ValidationSession(
-            graph, sigma, executor="process", processes=2
-        ) as session:
-            session.validate(n=2)
-            warm = session.validate(n=2)
-        assert lookups.value == 0
-        assert warm.shipping.match_store.hits == 0
-        assert warm.shipping.match_store.misses > 0
-
-
 class TestResidentPlanIsAcyclic:
     def test_dropping_a_slot_and_its_plan_leaves_no_cyclic_garbage(
         self, workload
@@ -162,7 +133,7 @@ class TestResidentPlanIsAcyclic:
             sigma, graph, groups=build_shared_groups(sigma)
         )[:60]
         plan_blob = pack_shard(units)
-        full = ("e1", pack_shard(sigma), ("pickle", pack_shard(graph)), 10_000)
+        full = ("e1", pack_shard(sigma), ("pickle", pack_shard(graph)))
         cache = {}
         gc.collect()
         gc.disable()

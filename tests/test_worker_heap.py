@@ -24,7 +24,6 @@ from repro.matching.vf2 import SubgraphMatcher
 from repro.parallel import estimate_workload, execute_unit
 from repro.parallel.engine import BlockMaterialiser
 from repro.parallel.executors import (
-    MatchStore,
     ShippingStats,
     _freeze_batch_heap,
     _GcWatch,
@@ -59,29 +58,25 @@ def _exercise_resident_state(graph, sigma, units) -> int:
     """
     units = units[:30]
     materialiser = BlockMaterialiser(graph)
-    store = MatchStore()
     for unit in units:
-        execute_unit(sigma, graph, unit, materialiser, match_store=store)
+        execute_unit(sigma, graph, unit, materialiser)
     for eval_mode in ("auto", "enumerate"):
         for mode in ("aggregate", "matches"):
             for unit in units:
                 mine = replace(
                     unit, kind="mine", payload=(50, mode), eval_mode=eval_mode
                 )
-                execute_unit(sigma, graph, mine, materialiser,
-                             match_store=store)
+                execute_unit(sigma, graph, mine, materialiser)
         for unit in units:
             count = replace(
                 unit, kind="count", payload=_count_payload(sigma, unit),
                 eval_mode=eval_mode,
             )
             execute_unit(sigma, graph, count, materialiser)
-            execute_unit(sigma, graph, count, materialiser, match_store=store)
     matcher = SubgraphMatcher(sigma[0].pattern, graph)
     assert sum(1 for _ in oracle_matches(sigma[0].pattern, graph)) == (
         matcher.count_matches(eval_mode="enumerate")
     )
-    assert len(store) > 0
     return sum(
         matcher.factorised_plan() is not None
         for entry in materialiser._cache.values()
@@ -157,12 +152,12 @@ class TestFrozenHeapDoesNotLeak:
             _freeze_batch_heap()
             return gc.get_freeze_count()
 
-        installed = batch("full", ("e1", sigma_blob, shard_ref, 10_000))
+        installed = batch("full", ("e1", sigma_blob, shard_ref))
         warm = [batch("reuse", ("e1", None)) for _ in range(4)]
         assert warm[0] >= installed - 50
         assert warm[1:] == warm[:-1]  # nothing accumulates while warm
         batch("delta", ("e1", delta, None))
-        replaced = batch("full", ("e2", sigma_blob, shard_ref, 10_000))
+        replaced = batch("full", ("e2", sigma_blob, shard_ref))
         assert list(cache) == [("e2", 0)]
         # the replaced shard, blocks and matchers were freed while frozen
         assert abs(replaced - installed) <= 50
