@@ -78,7 +78,7 @@ from .parallel import (
     FaultStats,
     MaterialiserStats,
     ShippingStats,
-    UnitResult,
+    SlotResult,
     ValidationRun,
     dis_nop,
     dis_ran,
@@ -160,7 +160,7 @@ __all__ = [
     "FaultPlan",
     "FaultPolicy",
     "FaultStats",
-    "UnitResult",
+    "SlotResult",
     "ValidationRun",
     "ValidationSession",
     "dis_nop",

@@ -1,11 +1,10 @@
 """Dispatch-exhaustiveness rules: every ``WorkUnit.kind`` has a story.
 
 ``WorkUnit.kind`` grew from one literal (``"detect"``) to three
-(``"mine"``, ``"count"``) across PRs 5–6, and each addition had to
-remember *two* dispatch sites: ``execute_unit`` (what running the unit
-does) and ``consolidate_slot_results`` (how a slot's partial results
-fold into the run outcome).  Forgetting the second site is silent —
-results are dropped, not raised — which is why this is a cross-file
+(``"mine"``, ``"count"``), and each addition has to remember *two*
+dispatch sites: ``execute_unit`` (what running the unit does) and
+``slot_fold`` (how a group's results merge into its slot's one
+result).  The sites live apart, which is why this is a cross-file
 *project* rule rather than a module lint:
 
 * :class:`ExecuteDispatchRule` (RPL040) — a constructed kind literal
@@ -13,7 +12,7 @@ results are dropped, not raised — which is why this is a cross-file
   ``replace(unit, kind=...)``, or the dataclass default) with no
   ``….kind == "..."`` branch in ``execute_unit``;
 * :class:`ConsolidateDispatchRule` (RPL041) — the same for
-  ``consolidate_slot_results``.
+  ``slot_fold``.
 
 Both rules stay silent when the project has no dispatcher of that name
 (fixture trees must supply one to exercise them).
@@ -161,18 +160,19 @@ class ExecuteDispatchRule(_DispatchRule):
 
 @register
 class ConsolidateDispatchRule(_DispatchRule):
-    """Every constructed kind needs a ``consolidate_slot_results`` story.
+    """Every constructed kind needs a ``slot_fold`` story.
 
-    Consolidation *skips* entries it does not recognise, so a missing
-    branch silently drops every result the new kind produces — the
-    workload appears to run and returns nothing.  This is the dangerous
-    half of the pair.
+    ``slot_fold`` decides how a group's results merge into its slot's
+    one result — what ships back and what the coordinator reads — and
+    raises on kinds it does not know, but only at run time, on the
+    first slot that runs the new kind.  The rule moves that discovery
+    to lint time, next to RPL040's.
     """
 
     code = "RPL041"
-    name = "consolidate-dispatch-exhaustive"
-    dispatcher = "consolidate_slot_results"
-    consequence = "be silently dropped at consolidation"
+    name = "fold-dispatch-exhaustive"
+    dispatcher = "slot_fold"
+    consequence = "raise at run time when their slot folds"
 
 
 @register

@@ -21,7 +21,7 @@ from .multiquery import (
 from .skew import split_oversized, split_statistics
 from .engine import (
     MaterialiserStats,
-    UnitResult,
+    SlotResult,
     ValidationRun,
     execute_unit,
     run_assignment,
@@ -76,7 +76,7 @@ __all__ = [
     "split_oversized",
     "split_statistics",
     "MaterialiserStats",
-    "UnitResult",
+    "SlotResult",
     "ValidationRun",
     "execute_unit",
     "run_assignment",

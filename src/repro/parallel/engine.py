@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
     TYPE_CHECKING, Union,
@@ -51,24 +51,29 @@ PARTIAL_MATCH_SHIP_FACTOR = 0.25
 
 
 @dataclass
-class UnitResult:
-    """Outcome of executing one work unit.
+class SlotResult:
+    """Outcome of executing one plan slot: the unit of result.
 
-    ``violations`` is populated by ``detect`` units; mining units leave
-    it empty and return their data — matches or dependency tallies — in
-    ``payload`` (a value-comparable tuple, so results stay identical
-    across execution backends).  ``steps`` counts full-enumeration
-    extensions for every kind.  ``enumerated`` records whether a VF2
-    enumeration actually ran for this unit — ``False`` when its resident
-    factorised eliminations answered it; the session surfaces the per-
-    phase sum as :attr:`repro.session.DiscoveryPhase.vf2_units`.
+    Work units stay the grain of planning and charging (the paper's
+    repVal/disVal charge each unit its own cost), so ``steps`` holds
+    one entry per primary unit, in slot order: the full-enumeration
+    extensions the unit charged.  Everything else is per slot:
+    ``vf2_units`` counts the units a VF2 enumeration answered (the
+    rest came off resident factorised eliminations; the session
+    surfaces the per-phase sum as
+    :attr:`repro.session.DiscoveryPhase.vf2_units`), ``violations`` is
+    the union of the ``detect`` units' violations, and ``payloads``
+    maps each group leader's index to its group's one merged payload:
+    the mine aggregate's wire form, the count tallies, or the match
+    lists of the capped and sampled fallbacks (see :func:`slot_fold`).
+    Payloads are value-comparable,
+    so results stay identical across execution backends.
     """
 
-    violations: Set[Violation]
-    steps: int
-    block_size: int
-    payload: Optional[tuple] = None
-    enumerated: bool = False
+    steps: List[int] = field(default_factory=list)
+    vf2_units: int = 0
+    violations: Set[Violation] = field(default_factory=set)
+    payloads: Dict[int, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -403,7 +408,7 @@ def execute_unit(
     graph: PropertyGraph,
     unit: WorkUnit,
     materialiser: Optional[BlockMaterialiser] = None,
-) -> UnitResult:
+) -> SlotResult:
     """Execute one (primary) work unit per its :attr:`WorkUnit.kind`.
 
     All kinds share the same locality machinery — materialise the block,
@@ -416,18 +421,13 @@ def execute_unit(
     (aggregate ``mine`` and ``count`` under ``eval_mode`` ``"auto"`` or
     ``"factorised"``), or by a fresh VF2 enumeration.
 
-    The result is what a one-unit slot of :func:`run_slot` gives, its
-    payload in the wire form.  A whole slot runs through
-    :func:`run_slot` instead, which resolves each group's pattern-level
-    work once rather than once per unit.
+    This is a one-unit :func:`run_slot`: a replica's result is empty.
+    A whole slot runs through :func:`run_slot` instead, which resolves
+    each group's pattern-level work once rather than once per unit.
     """
     if materialiser is None:
         materialiser = BlockMaterialiser(graph)
-    result = _Group(sigma, unit.group, UnitPhase.of(unit)).execute_unit(
-        unit, materialiser
-    )
-    consolidate_slot_results((unit,), (result,))
-    return result
+    return run_slot(sigma, (unit,), materialiser)
 
 
 class _Group:
@@ -441,14 +441,15 @@ class _Group:
     components are pairwise non-isomorphic), a candidate tuple has
     exactly one permutation — itself — so a unit pins its own
     assignment instead of re-expanding it.  A count group compiles its
-    members' tally shapes on first use.  Holds no per-unit state:
-    the result and ``steps`` of a unit are what :func:`execute_unit`
-    gives it alone.
+    members' tally shapes on first use.  ``fold`` merges the group's
+    results within the slot (:func:`slot_fold`); apart from it the
+    group holds no per-unit state: a unit's ``steps`` are what
+    :func:`execute_unit` gives it alone.
     """
 
     __slots__ = ("sigma", "leader_index", "pattern", "pivot", "members",
                  "direct", "kind", "eval_mode", "given", "payload",
-                 "_shapes")
+                 "fold", "_shapes")
 
     def __init__(
         self, sigma: Sequence[GFD], group, phase: UnitPhase
@@ -469,6 +470,7 @@ class _Group:
         if self.kind == "count":
             payload = _derived_count_payload(payload, self.members)
         self.payload = payload
+        self.fold = slot_fold(phase, self.given, self.members)
         self._shapes = None
 
     def names(self, unit: WorkUnit) -> bool:
@@ -480,15 +482,30 @@ class _Group:
         )
 
     def execute_unit(
-        self, unit: WorkUnit, materialiser: BlockMaterialiser
-    ) -> UnitResult:
+        self, unit: WorkUnit, materialiser: BlockMaterialiser,
+        out: SlotResult,
+    ) -> None:
+        """Run ``unit``: append its steps to ``out``, fold its result."""
         if self.kind == "detect":
-            return _execute_detect(self, unit, materialiser)
-        if self.kind == "mine":
-            return _execute_mine(self, unit, materialiser)
-        if self.kind == "count":
-            return _execute_count(self, unit, materialiser)
-        raise ValueError(f"unknown work-unit kind {self.kind!r}")
+            steps = _execute_detect(self, unit, materialiser, out.violations)
+            enumerated = True
+        elif self.kind == "mine":
+            steps, enumerated = _execute_mine(self, unit, materialiser)
+        elif self.kind == "count":
+            steps, enumerated = _execute_count(self, unit, materialiser)
+        else:
+            raise ValueError(f"unknown work-unit kind {self.kind!r}")
+        out.steps.append(steps)
+        out.vf2_units += enumerated
+
+    def close(self, out: SlotResult) -> None:
+        """Write the group's merged payload into ``out``."""
+        if self.fold is None:
+            return
+        held = out.payloads.get(self.leader_index)
+        if held is not None:  # the group ran under another phase before
+            self.fold.merge(held)
+        out.payloads[self.leader_index] = self.fold.payload()
 
     def pins(self, unit: WorkUnit):
         """The unit's candidate tuple re-expanded over symmetry classes."""
@@ -521,42 +538,43 @@ def run_slot(
     faults: Optional["WorkerFaultContext"] = None,
     progress: Optional[List[int]] = None,
     phase: Optional[UnitPhase] = None,
-) -> List[Optional[UnitResult]]:
-    """Execute one plan slot's primary units; replicas map to ``None``.
+) -> SlotResult:
+    """Execute one plan slot's primary units into one :class:`SlotResult`.
 
     The one slot loop of both backends (the simulated executor and a
-    worker process).  Each shared group's leader, members and symmetry
-    classes are resolved on its first unit and reused by the rest, while
-    every unit keeps its own :class:`MatchStats` — so each unit's
-    ``steps``, and with them the cost report, are what
-    :func:`execute_unit` measures.  ``phase`` gives every unit its kind,
-    inputs and eval mode; without one, each unit's own fields do.
-    ``faults`` (a worker's fault injection triggers) is consulted before
-    every unit, and ``progress[0]`` — the counter a worker's heartbeat
-    reports — ticks after each.  The slot-level payload passes
-    (count-payload derivation, per-group result folding) run here too,
-    so both backends consume and produce identically-shaped unit
-    payloads.
+    worker process); replicas are skipped.  Each shared group's leader,
+    members and symmetry classes are resolved on its first unit and
+    reused by the rest, while every unit keeps its own
+    :class:`MatchStats` — so each unit's ``steps``, and with them the
+    cost report, are what :func:`execute_unit` measures.  Each group's
+    results merge as they are produced, into one payload per group
+    (:func:`slot_fold`).  ``phase`` gives every unit its kind, inputs
+    and eval mode; without one, each unit's own fields do.  ``faults``
+    (a worker's fault injection triggers) is consulted before every
+    unit, and ``progress[0]`` — the counter a worker's heartbeat
+    reports — ticks after each.
     """
+    out = SlotResult()
     groups: Dict[int, _Group] = {}
-    results: List[Optional[UnitResult]] = []
     for unit in units:
         if not unit.primary:
-            results.append(None)
             continue
         if faults is not None:
             faults.before_unit()
         group = groups.get(id(unit.group))
         if group is None or (phase is None and not group.names(unit)):
+            if group is not None:
+                group.close(out)
             group = groups[id(unit.group)] = _Group(
                 sigma, unit.group,
                 phase if phase is not None else UnitPhase.of(unit),
             )
-        results.append(group.execute_unit(unit, materialiser))
+        group.execute_unit(unit, materialiser, out)
         if progress is not None:
             progress[0] += 1
-    consolidate_slot_results(units, results, phase)
-    return results
+    for group in groups.values():
+        group.close(out)
+    return out
 
 
 def _pinned_matches(group, unit, materialiser, stats):
@@ -576,11 +594,14 @@ def _execute_detect(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-) -> UnitResult:
-    """Local error detection (the original unit semantics)."""
+    violations: Set[Violation],
+) -> int:
+    """Local error detection (the original unit semantics).
+
+    Adds the unit's violations to ``violations`` and returns its steps.
+    """
     stats = MatchStats()
     block, matches = _pinned_matches(group, unit, materialiser, stats)
-    violations: Set[Violation] = set()
     for match in matches:
         for member in group.members:
             if not match_satisfies_all(block, match, member.lhs):
@@ -592,12 +613,7 @@ def _execute_detect(
                 member.iso[var]: node for var, node in match.items()
             }
             violations.add(make_violation(member_gfd, member_match))
-    return UnitResult(
-        violations=violations,
-        steps=stats.steps,
-        block_size=unit.block_size,
-        enumerated=True,
-    )
+    return stats.steps
 
 
 def _eliminations(group, unit, materialiser, matcher, plan) -> tuple:
@@ -627,11 +643,12 @@ def _factorised_mine(
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
     strict: bool,
-) -> Optional[UnitResult]:
-    """The aggregate mine result by factorised evaluation, if possible.
+) -> Optional[int]:
+    """Fold the unit's evidence by factorised evaluation, if possible.
 
-    Sums the leader pattern's evidence over the unit's re-expanded pivot
-    permutations straight off the block's factorised plan — no VF2.
+    Merges the leader pattern's evidence over the unit's re-expanded
+    pivot permutations, straight off the block's factorised plan — no
+    VF2 — into the group's aggregate, and returns the unit's steps.
     Returns ``None`` when the pattern does not factorise on this block
     (``strict`` raises instead — the ``eval_mode="factorised"``
     contract).
@@ -646,20 +663,11 @@ def _factorised_mine(
             )
         return None
     stats = MatchStats()
-    count = 0
-    aggregate = EvidenceAggregate()
+    aggregate = group.fold.aggregate
     for elimination in _eliminations(group, unit, materialiser, matcher, plan):
-        pin_count, pin_aggregate = plan.evidence_of(
-            block, elimination, stats=stats
-        )
-        count += pin_count
+        _, pin_aggregate = plan.evidence_of(block, elimination, stats=stats)
         aggregate.merge(pin_aggregate)
-    return UnitResult(
-        violations=set(),
-        steps=stats.steps,
-        block_size=unit.block_size,
-        payload=("agg", count, aggregate),
-    )
+    return stats.steps
 
 
 def _factorised_count(
@@ -667,8 +675,8 @@ def _factorised_count(
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
     strict: bool,
-) -> Optional[UnitResult]:
-    """The count-unit tallies by factorised evaluation, if possible.
+) -> Optional[Tuple[int, tuple]]:
+    """The count-unit steps and tallies by factorised evaluation, if possible.
 
     Falls back (``None``) as one whole unit — pattern not factorisable,
     a member candidate spanning more than two variables, or unhashable
@@ -707,12 +715,7 @@ def _factorised_count(
             ):
                 tally[0] += supported
                 tally[1] += satisfied
-    return UnitResult(
-        violations=set(),
-        steps=stats.steps,
-        block_size=unit.block_size,
-        payload=_sparse_tallies(counts),
-    )
+    return stats.steps, _sparse_tallies(counts)
 
 
 def _sparse_tallies(counts) -> tuple:
@@ -731,138 +734,67 @@ def _execute_mine(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-) -> UnitResult:
-    """Discovery's enumeration phase: fold or return the pivoted matches.
+) -> Tuple[int, bool]:
+    """Discovery's enumeration phase: fold the pivoted matches.
 
-    The result payload is a pure value — equal across execution backends
-    and enumeration orders.  Pivot candidates partition the match space
-    (each match pins the pivot variables at exactly one deduplicated
-    candidate), so merging unit payloads over a plan covers every match
-    of the leader pattern exactly once.
+    Returns the unit's steps and whether it enumerated.  The group's
+    merged payload is a pure value — equal across execution backends
+    and enumeration orders.  Pivot candidates partition the
+    match space (each match pins the pivot variables at exactly one
+    deduplicated candidate), so merging the slots' payloads over a plan
+    covers every match of the leader pattern exactly once.
 
     The group's payload is ``(max_matches, mode)``:
 
-    * ``mode="aggregate"`` (discovery's default): matches are folded
-      worker-side into a mergeable
-      :class:`~repro.core.discovery.EvidenceAggregate` and the unit
-      returns ``("agg", count, aggregate)``, which its slot folds and
-      ships encoded (:func:`consolidate_slot_results`) —
-      ``O(vars × attrs)`` however many matches the block holds.  Under
-      ``eval_mode`` ``"auto"``/``"factorised"`` the aggregate comes off
-      the block's resident eliminations instead of an enumeration.
-    * ``mode="matches"``: the match list itself ships — the documented
-      fallback the coordinator requests when a pattern's ``max_matches``
-      cap bites (support/confidence must then be counted over the
-      canonical capped subset only the coordinator can select) or when
-      an explicit seeded evidence sample is requested.  The common case
-      — a block with at most ~2×cap matches — ships ``("shared",
-      matches)`` in *leader* variable space, translated per member on
-      the coordinator.  A pathological block with more matches switches
-      to ``("members", total_count, per_member)``: matches are
-      translated into each member's variable space *on the worker* and
-      kept as the member-space canonical ``cap``-smallest (the cap must
-      be taken per member — variable renaming permutes the canonical
-      order, so a leader-space cut could drop a member's smallest
-      matches).  Either way worker memory and the shipped payload stay
-      ``O(members × cap)``, and the per-unit selection commutes with
-      the coordinator's global canonical cap.
+    * ``mode="aggregate"`` (discovery's default): matches fold into the
+      group's mergeable
+      :class:`~repro.core.discovery.EvidenceAggregate`, which the slot
+      ships encoded — ``O(vars × attrs)`` however many matches the
+      blocks hold.  Under ``eval_mode`` ``"auto"``/``"factorised"`` the
+      evidence comes off the block's resident eliminations instead of
+      an enumeration.
+    * ``mode="matches"``: the match lists themselves ship
+      (:class:`_MatchFold`) — the documented fallback the coordinator
+      requests when a pattern's ``max_matches`` cap bites
+      (support/confidence must then be counted over the canonical
+      capped subset only the coordinator can select) or when an
+      explicit seeded evidence sample is requested.
     """
-    payload_in = group.payload or ()
-    cap = payload_in[0] if payload_in else None
-    mode = payload_in[1] if len(payload_in) > 1 else "matches"
-    members = group.members
-
-    if mode == "aggregate" and group.eval_mode != "enumerate":
-        result = _factorised_mine(
+    fold = group.fold
+    if fold.__class__ is _EvidenceFold and group.eval_mode != "enumerate":
+        steps = _factorised_mine(
             group, unit, materialiser,
             strict=group.eval_mode == "factorised",
         )
-        if result is not None:
-            return result
+        if steps is not None:
+            return steps, False
 
     stats = MatchStats()
     block, matches = _pinned_matches(group, unit, materialiser, stats)
-
-    if mode == "aggregate":
-        aggregate = EvidenceAggregate()
-        count = 0
+    if fold.__class__ is _EvidenceFold:
+        aggregate = fold.aggregate
         for match in matches:
-            count += 1
             aggregate.add(block, match)
-        return UnitResult(
-            violations=set(),
-            steps=stats.steps,
-            block_size=unit.block_size,
-            payload=("agg", count, aggregate),
-            enumerated=True,
-        )
-
-    threshold = max(2 * cap, 4096) if cap is not None else None
-    found = []
-    per_member: Optional[List[List[Tuple]]] = None
-    count = 0
-
-    def translate(items, member):
-        return tuple(sorted((member.iso[var], node) for var, node in items))
-
-    for match in matches:
-        count += 1
-        items = tuple(sorted(match.items()))
-        if per_member is None:
-            found.append(items)
-            if threshold is not None and len(found) > threshold:
-                per_member = [
-                    [translate(m, member) for m in found]
-                    for member in members
-                ]
-                found = None
-        else:
-            for bucket, member in zip(per_member, members):
-                bucket.append(translate(items, member))
-            # Amortised overflow handling: pruning to the cap-smallest
-            # commutes with appending more matches, so letting a bucket
-            # run to 2×threshold before compacting keeps the final
-            # selection identical while costing O(n log cap) overall
-            # instead of O(n · cap) re-heaps (one per append).
-            for pos, bucket in enumerate(per_member):
-                if len(bucket) > 2 * threshold:
-                    per_member[pos] = heapq.nsmallest(
-                        cap, bucket, key=match_items_key
-                    )
-    if per_member is None:
-        found.sort(key=match_items_key)
-        payload = ("shared", tuple(found))
     else:
-        payload = (
-            "members",
-            count,
-            tuple(
-                tuple(heapq.nsmallest(cap, bucket, key=match_items_key))
-                for bucket in per_member
-            ),
-        )
-    return UnitResult(
-        violations=set(),
-        steps=stats.steps,
-        block_size=unit.block_size,
-        payload=payload,
-        enumerated=True,
-    )
+        for match in matches:
+            fold.add(tuple(sorted(match.items())))
+    return stats.steps, True
 
 
 def _execute_count(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-) -> UnitResult:
+) -> Tuple[int, bool]:
     """Discovery's counting phase: tally proposed dependencies.
 
-    The group's payload carries, per member, the member's proposed
-    ``(lhs, rhs)`` candidates *rewritten into leader variable space* (the
-    same alignment detection uses), so one pinned enumeration of the
-    leader pattern serves every member's tallies.  The result payload is
-    *sparse*: per member, ``(dep_pos, supported, satisfied)`` triples for
-    the candidates some match actually supported — a typical pivot block
+    Returns the unit's steps and whether it enumerated.  The group's
+    payload carries, per member, the member's proposed ``(lhs, rhs)``
+    candidates *rewritten into leader variable space* (the same
+    alignment detection uses), so one pinned enumeration of the leader
+    pattern serves every member's tallies.  The tallies fold *sparse*:
+    per member, ``(dep_pos, supported, satisfied)`` triples for the
+    candidates some match actually supported — a typical pivot block
     supports few of the proposed premises, so dense zero rows would
     dominate the tally traffic (``satisfied`` can only tick inside a
     supported match, so ``supported == 0`` implies nothing to report).
@@ -872,12 +804,14 @@ def _execute_count(
     warm ``discover()`` runs zero VF2.  Otherwise the unit enumerates.
     """
     if group.eval_mode != "enumerate":
-        result = _factorised_count(
+        found = _factorised_count(
             group, unit, materialiser,
             strict=group.eval_mode == "factorised",
         )
-        if result is not None:
-            return result
+        if found is not None:
+            steps, tallies = found
+            group.fold.merge(tallies)
+            return steps, False
     member_deps = group.payload
     counts = [
         [[0, 0] for _ in deps] for deps in member_deps
@@ -893,13 +827,8 @@ def _execute_count(
                 tally[0] += 1
                 if match_satisfies_all(block, match, rhs):
                     tally[1] += 1
-    return UnitResult(
-        violations=set(),
-        steps=stats.steps,
-        block_size=unit.block_size,
-        payload=_sparse_tallies(counts),
-        enumerated=True,
-    )
+    group.fold.merge(_sparse_tallies(counts))
+    return stats.steps, True
 
 
 def _derived_count_payload(payload, members) -> tuple:
@@ -939,109 +868,197 @@ def _derived_count_payload(payload, members) -> tuple:
     return tuple(member_deps)
 
 
+def slot_fold(named, given, members):
+    """A fresh merge of one group's results within a slot, per kind.
+
+    ``named`` is the phase (or unit) naming the kind, ``given`` the
+    group's input payload and ``members`` the members it evaluates.
+    Mine aggregates and count tallies merge associatively, so a slot
+    ships exactly one of each per group, not one per work unit (pivot
+    blocks are small and plentiful, so per-unit payloads would dominate
+    the wire volume).  ``detect`` results need no fold: violations
+    union straight into the slot's set, so a slot ships each distinct
+    violation once (pivot blocks overlap, and symmetric pivot
+    candidates of one group re-find the same violating matches).
+    """
+    if named.kind == "detect":
+        return None
+    if named.kind == "mine":
+        given = given or ()
+        mode = given[1] if len(given) > 1 else "matches"
+        if mode == "aggregate":
+            return _EvidenceFold()
+        return _MatchFold(given[0] if given else None, members)
+    if named.kind == "count":
+        return _TallyFold(len(given or ()))
+    raise ValueError(f"unknown work-unit kind {named.kind!r}")
+
+
+class _EvidenceFold:
+    """A mine group's evidence: one live aggregate, shipped encoded
+    (:meth:`~repro.core.discovery.EvidenceAggregate.to_payload`)."""
+
+    __slots__ = ("aggregate",)
+
+    def __init__(self) -> None:
+        self.aggregate = EvidenceAggregate()
+
+    def merge(self, payload: tuple) -> None:
+        self.aggregate.merge(EvidenceAggregate.from_payload(payload))
+
+    def payload(self) -> tuple:
+        return self.aggregate.to_payload()
+
+
+class _TallyFold:
+    """A count group's tallies: per member, dep position → supported,
+    satisfied; shipped sparse, in position order."""
+
+    __slots__ = ("tallies",)
+
+    def __init__(self, members: int) -> None:
+        self.tallies: List[Dict[int, List[int]]] = [
+            {} for _ in range(members)
+        ]
+
+    def merge(self, payload: tuple) -> None:
+        for tally, member in zip(self.tallies, payload):
+            for pos, sup, sat in member:
+                held = tally.get(pos)
+                if held is None:
+                    tally[pos] = [sup, sat]
+                else:
+                    held[0] += sup
+                    held[1] += sat
+
+    def payload(self) -> tuple:
+        return tuple(
+            tuple((pos, sup, sat) for pos, (sup, sat) in sorted(tally.items()))
+            for tally in self.tallies
+        )
+
+
+class _MatchFold:
+    """A mine group's match lists: the capped and sampled fallbacks.
+
+    The common case — at most ~2×cap matches — ships ``("shared",
+    matches)`` in *leader* variable space, translated per member on
+    the coordinator.  Past that the fold switches to ``("members",
+    total_count, per_member)``: matches are translated into each
+    member's variable space here and kept as the member-space canonical
+    ``cap``-smallest (the cap must be taken per member — variable
+    renaming permutes the canonical order, so a leader-space cut could
+    drop a member's smallest matches).  Either way memory and the
+    shipped payload stay ``O(members × cap)``, and the selection
+    commutes with the coordinator's global canonical cap.
+    """
+
+    __slots__ = ("cap", "members", "threshold", "count", "found",
+                 "per_member")
+
+    def __init__(self, cap: Optional[int], members) -> None:
+        self.cap = cap
+        self.members = members
+        self.threshold = max(2 * cap, 4096) if cap is not None else None
+        self.count = 0
+        self.found: List[tuple] = []
+        self.per_member: Optional[List[List[tuple]]] = None
+
+    def add(self, items: tuple) -> None:
+        """Fold one leader-space match (var-sorted ``(var, node)`` items)."""
+        self.count += 1
+        if self.per_member is None:
+            self.found.append(items)
+            if self.threshold is not None and len(self.found) > self.threshold:
+                self._split()
+            return
+        for bucket, member in zip(self.per_member, self.members):
+            bucket.append(_translate(items, member))
+        self._compact()
+
+    def merge(self, payload: tuple) -> None:
+        if payload[0] == "shared":
+            for items in payload[1]:
+                self.add(items)
+            return
+        _, total, per_member = payload
+        if self.per_member is None:
+            self._split()
+        self.count += total
+        for bucket, matches in zip(self.per_member, per_member):
+            bucket.extend(matches)
+        self._compact()
+
+    def payload(self) -> tuple:
+        if self.per_member is None:
+            return ("shared", tuple(sorted(self.found, key=match_items_key)))
+        return ("members", self.count, tuple(
+            tuple(heapq.nsmallest(self.cap, bucket, key=match_items_key))
+            for bucket in self.per_member
+        ))
+
+    def _split(self) -> None:
+        """Switch to per-member buckets, translating what was found."""
+        self.per_member = [
+            [_translate(items, member) for items in self.found]
+            for member in self.members
+        ]
+        self.found = []
+
+    def _compact(self) -> None:
+        # Amortised overflow handling: pruning to the cap-smallest
+        # commutes with appending more matches, so letting a bucket run
+        # to 2×threshold before compacting keeps the final selection
+        # identical while costing O(n log cap) overall instead of
+        # O(n · cap) re-heaps (one per append).
+        for pos, bucket in enumerate(self.per_member):
+            if len(bucket) > 2 * self.threshold:
+                self.per_member[pos] = heapq.nsmallest(
+                    self.cap, bucket, key=match_items_key
+                )
+
+
+def _translate(items: tuple, member) -> tuple:
+    """A leader-space match in ``member``'s variables, var-sorted."""
+    return tuple(sorted((member.iso[var], node) for var, node in items))
+
+
 def consolidate_slot_results(
     units: Sequence[WorkUnit],
-    results: Sequence[Optional[UnitResult]],
+    results: Sequence[SlotResult],
     phase: Optional[UnitPhase] = None,
-) -> None:
-    """Fold one slot's mergeable result payloads per shared group, in place.
+) -> SlotResult:
+    """Merge ``results`` of the same slot's ``units`` into one.
 
-    Mine aggregates and count tallies merge associatively, so a slot
-    needs to ship exactly one of each per isomorphism group — not one
-    per work unit (pivot blocks are typically small and plentiful, so
-    per-unit payload overhead would dominate the wire volume).  The
-    first unit of each group becomes the carrier of the merged payload;
-    folded units keep their per-unit ``steps`` and ``block_size`` (cost
-    charging is untouched) with an empty payload marker (``None`` for
-    mine, ``()`` for count — both no-ops for the coordinator's gather).
-    Match-shipping mine payloads pass through unmerged: the capped
-    fallback needs per-unit granularity for its per-member canonical
-    caps.  A mine unit hands its aggregate over as the object itself,
-    and each carrier encodes the merged one once
-    (:meth:`~repro.core.discovery.EvidenceAggregate.to_payload`), so a
-    slot encodes one aggregate per group, not one per unit; results
-    already in the wire form (:func:`execute_unit` gives them so) are
-    decoded to fold.
-
-    ``detect`` units fold the same way: their violation sets merge as a
-    plain union, so a slot ships each distinct violation once per group
-    instead of once per work unit (pivot blocks overlap, and symmetric
-    pivot candidates of one group re-find the same violating matches).
-    The coordinator's gather unions every result's violations anyway, so
-    folding is invisible to it — only the reply volume shrinks.
-
-    ``phase`` is the run's :class:`~repro.parallel.workload.UnitPhase`,
-    if it named the units' kind; otherwise each unit's own does.
+    The results may be one-unit ones (:func:`execute_unit`) or partial
+    slots; ``steps`` concatenate in the given order, VF2 counts add,
+    violations union, and each group's payloads merge the way
+    :func:`run_slot` merges them as they are produced
+    (:func:`slot_fold`), so merging the per-unit results of a slot
+    equals running it whole.  ``phase`` is the run's
+    :class:`~repro.parallel.workload.UnitPhase`, if it named the units'
+    kind; otherwise each unit's own does.
     """
-    mine_carriers: Dict[int, list] = {}
-    count_carriers: Dict[int, list] = {}
-    detect_carriers: Dict[int, "UnitResult"] = {}
-    for unit, result in zip(units, results):
-        if result is None:
-            continue
-        named = unit if phase is None else phase
-        if named.kind == "detect":
-            carrier = detect_carriers.get(id(unit.group))
-            if carrier is None:
-                detect_carriers[id(unit.group)] = result
-            elif result.violations:
-                carrier.violations |= result.violations
-                result.violations = set()
-            continue
-        if result.payload is None:
-            continue
-        gid = id(unit.group)
-        if named.kind == "mine" and result.payload[0] == "agg":
-            entry = mine_carriers.get(gid)
-            if entry is None:
-                mine_carriers[gid] = [
-                    result, result.payload[1], result.payload[2],
-                ]
-            else:
-                entry[1] += result.payload[1]
-                entry[2] = _live(entry[2]).merge(_live(result.payload[2]))
-                result.payload = None
-        elif named.kind == "count":
-            entry = count_carriers.get(gid)
-            if entry is None:
-                count_carriers[gid] = [
-                    result,
-                    [
-                        {pos: [sup, sat] for pos, sup, sat in member}
-                        for member in result.payload
-                    ],
-                    False,
-                ]
-            else:
-                for tally, member in zip(entry[1], result.payload):
-                    for pos, sup, sat in member:
-                        slot_tally = tally.get(pos)
-                        if slot_tally is None:
-                            tally[pos] = [sup, sat]
-                        else:
-                            slot_tally[0] += sup
-                            slot_tally[1] += sat
-                entry[2] = True
-                result.payload = ()
-    for result, count, aggregate in mine_carriers.values():
-        if aggregate.__class__ is EvidenceAggregate:
-            result.payload = ("agg", count, aggregate.to_payload())
-    for result, tallies, folded in count_carriers.values():
-        if folded:
-            result.payload = tuple(
-                tuple(
-                    (pos, sup, sat)
-                    for pos, (sup, sat) in sorted(member.items())
-                )
-                for member in tallies
+    folds = {}
+    for unit in units:
+        leader = unit.group.leader_index
+        if leader not in folds:
+            named = phase if phase is not None else UnitPhase.of(unit)
+            folds[leader] = slot_fold(
+                named, named.payloads.get(leader),
+                named.groups.get(leader, unit.group).members,
             )
-
-
-def _live(aggregate) -> EvidenceAggregate:
-    """An ``"agg"`` payload's aggregate, decoded if in the wire form."""
-    if aggregate.__class__ is EvidenceAggregate:
-        return aggregate
-    return EvidenceAggregate.from_payload(aggregate)
+    merged = SlotResult()
+    order: Dict[int, None] = {}
+    for result in results:
+        merged.steps += result.steps
+        merged.vf2_units += result.vf2_units
+        merged.violations |= result.violations
+        for leader, payload in result.payloads.items():
+            folds[leader].merge(payload)
+            order[leader] = None
+    merged.payloads = {leader: folds[leader].payload() for leader in order}
+    return merged
 
 
 def run_units(
@@ -1053,16 +1070,15 @@ def run_units(
     sigma_key: Optional[object] = None,
     plan_key: Optional["PlanKey"] = None,
     phase: Optional[UnitPhase] = None,
-) -> List[List[Optional["UnitResult"]]]:
-    """Execute a plan on ``backend`` and return the per-unit results,
+) -> List[SlotResult]:
+    """Execute a plan on ``backend`` and return one result per slot,
     charging costs.
 
     Every primary unit (every unsplit unit is its own primary) is
-    charged its measured steps and block size, scaled by its
-    ``cost_share``; results align 1:1 with ``plan`` (``None`` for
-    replicas).  Phases that consume unit *payloads* (discovery's
-    mine/count/confirm phases) call this directly;
-    :func:`run_assignment` builds on it.
+    charged its measured steps — its entry in its slot's ``steps``
+    column — and its block size, scaled by its ``cost_share``.  Phases
+    that consume the slots' payloads (discovery's mine/count/confirm
+    phases) call this directly; :func:`run_assignment` builds on it.
 
     ``backend`` is the one executor of the run: a
     :class:`~repro.parallel.executors.SimulatedExecutor` (serial,
@@ -1082,13 +1098,12 @@ def run_units(
         sigma, graph, plan, sigma_key=sigma_key, plan_key=plan_key,
         phase=phase,
     )
-    for worker, worker_units in enumerate(plan):
-        for unit, result in zip(worker_units, results[worker]):
-            if not unit.primary or result is None:
-                continue
+    for worker, (worker_units, result) in enumerate(zip(plan, results)):
+        primaries = (unit for unit in worker_units if unit.primary)
+        for unit, steps in zip(primaries, result.steps):
             cluster.charge_unit(
                 worker,
-                steps=int(result.steps * unit.cost_share),
+                steps=int(steps * unit.cost_share),
                 block_size=unit.block_size * unit.cost_share,
             )
     return results
@@ -1107,14 +1122,15 @@ def run_assignment(
     """Execute a per-worker unit assignment, charging costs as measured.
 
     :func:`run_units` runs and charges the primaries on ``backend``;
-    this adds the union of their violations and the replica charges.
-    Split units (replicate-and-split): the primary executes detection
-    and its measured step count is shared across all sub-units with the
-    same ``split_id``; replicas are charged their share after every
-    primary.  With ``ship_partial_matches=True`` (the fragmented
-    setting) replicas are additionally charged the partial-match
-    shipment the strategy incurs; over a replicated graph the exchange
-    is free (Section 6.1: repVal "requires no data exchange").
+    this adds the union of the slots' violations and the replica
+    charges.  Split units (replicate-and-split): the primary executes
+    detection and its measured step count is shared across all
+    sub-units with the same ``split_id``; replicas are charged their
+    share after every primary.  With ``ship_partial_matches=True`` (the
+    fragmented setting) replicas are additionally charged the
+    partial-match shipment the strategy incurs; over a replicated graph
+    the exchange is free (Section 6.1: repVal "requires no data
+    exchange").
     """
     results = run_units(
         sigma, graph, assignment, cluster, backend,
@@ -1122,13 +1138,12 @@ def run_assignment(
     )
     violations: Set[Violation] = set()
     split_steps: Dict[int, int] = {}
-    for worker_units, worker_results in zip(assignment, results):
-        for unit, result in zip(worker_units, worker_results):
-            if not unit.primary:
-                continue
-            violations |= result.violations
+    for worker_units, result in zip(assignment, results):
+        violations |= result.violations
+        primaries = (unit for unit in worker_units if unit.primary)
+        for unit, steps in zip(primaries, result.steps):
             if unit.split_id is not None:
-                split_steps[unit.split_id] = result.steps
+                split_steps[unit.split_id] = steps
     # Replicas share the primary's measured cost and ship partial
     # matches between each other.
     for worker, worker_units in enumerate(assignment):

@@ -14,14 +14,15 @@ other half the paper's Figures 5–8 are about — *real* concurrency:
   share a ``disVal`` fragment holds after prefetching.  The worker
   process materialises shard-local
   :class:`~repro.graph.snapshot.GraphSnapshot`s per block (never the whole
-  graph), runs local error detection for real, and returns per-unit
-  results for the coordinator to aggregate.
+  graph), runs local error detection for real, and returns one result
+  per slot for the coordinator to aggregate.
 
-Both backends return the same per-unit :class:`~repro.parallel.engine.
-UnitResult`s — violations are value-equal sets, and ``steps`` counts every
-candidate extension attempted during full enumeration, which is a set-
-not order-dependent quantity — so cost charging on the coordinator yields
-*identical* :class:`~repro.parallel.cluster.ClusterReport`s.  The
+Both backends return the same :class:`~repro.parallel.engine.SlotResult`
+per plan slot — violations are value-equal sets, group payloads are
+value-comparable, and each unit's entry in the ``steps`` column counts
+every candidate extension attempted during full enumeration, which is a
+set- not order-dependent quantity — so cost charging on the coordinator
+yields *identical* :class:`~repro.parallel.cluster.ClusterReport`s.  The
 differential suite ``tests/test_parallel_executors.py`` locks this in.
 
 Selection rule
@@ -149,7 +150,7 @@ except ImportError:  # pragma: no cover - exotic builds
     shared_memory = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import BlockMaterialiser, MaterialiserStats, UnitResult
+    from .engine import BlockMaterialiser, MaterialiserStats, SlotResult
 
 #: Accepted executor names (``auto`` resolves per the module docstring).
 EXECUTORS = ("simulated", "process", "auto")
@@ -512,7 +513,8 @@ class ShippingStats:
     full shards and deltas), and ``payload_bytes`` the work units'
     kind-specific data path — the run's
     :class:`~repro.parallel.workload.UnitPhase` coordinator→worker (once
-    per slot) plus result payloads worker→coordinator.  Discovery's
+    per slot) plus each slot's merged group payloads
+    worker→coordinator (one blob per slot).  Discovery's
     aggregate-vs-match-list shipping win is the ``payload_bytes`` delta.
     ``plan_bytes`` measures the work-unit lists themselves (one packed
     blob per slot that ships its plan): a warm slot that already holds
@@ -881,7 +883,7 @@ def _run_slot(
     phase_blob: Optional[bytes] = None,
     faults: Optional[WorkerFaultContext] = None,
     progress: Optional[List[int]] = None,
-) -> List["UnitResult"]:
+) -> "SlotResult":
     """Worker-side execution of one plan slot with shard-cache handling.
 
     ``units`` becomes the slot's resident plan; ``None`` runs the plan
@@ -944,53 +946,6 @@ def _run_slot(
         entry.sigma, units, entry.materialiser, faults=faults, progress=progress,
         phase=unpack_shard(phase_blob) if phase_blob is not None else None,
     )
-
-
-def _pack_results(results: List["UnitResult"]) -> Tuple:
-    """One slot's results as the columns of its reply.
-
-    Per unit only ``steps`` and ``enumerated`` travel, plus the violation
-    sets left non-empty by per-group folding (one per group carrier);
-    ``block_size`` is the unit's own, which the coordinator holds.  The
-    payloads travel as one blob, serialised exactly once and measured
-    from its length (``None`` when no result carries one).  A few flat
-    columns pickle, and
-    unpickle, in a fraction of the time one object per unit takes.
-    """
-    payloads = tuple(result.payload for result in results)
-    return (
-        tuple(result.steps for result in results),
-        bytes(result.enumerated for result in results),
-        tuple(
-            (pos, result.violations)
-            for pos, result in enumerate(results)
-            if result.violations
-        ),
-        pack_shard(payloads)
-        if any(payload is not None for payload in payloads) else None,
-    )
-
-
-def _unpack_results(
-    units: Sequence[WorkUnit], columns: Tuple
-) -> List["UnitResult"]:
-    """Coordinator-side inverse of :func:`_pack_results`."""
-    from .engine import UnitResult
-
-    steps, enumerated, violations, payloads_blob = columns
-    results = [
-        UnitResult(
-            violations=set(), steps=unit_steps, block_size=unit.block_size,
-            enumerated=bool(flag),
-        )
-        for unit, unit_steps, flag in zip(units, steps, enumerated)
-    ]
-    for pos, unit_violations in violations:
-        results[pos].violations = unit_violations
-    if payloads_blob is not None:
-        for result, payload in zip(results, unpack_shard(payloads_blob)):
-            result.payload = payload
-    return results
 
 
 def _heartbeat_loop(
@@ -1125,11 +1080,17 @@ def _persistent_worker_main(
                     unpack_shard(plan_blob) if plan_blob is not None
                     else None
                 )
-                slot_results = _run_slot(
+                result = _run_slot(
                     cache, slot, mode, payload, units, phase_blob,
                     faults=faults, progress=progress,
                 )
-                replies.append((slot, _pack_results(slot_results)))
+                # The groups' payloads travel as one blob, serialised
+                # once and measured from its length.
+                payloads = (
+                    pack_shard(result.payloads) if result.payloads else None
+                )
+                result.payloads = {}
+                replies.append((slot, result, payloads))
             # Per-batch block-cache slices, summed over this worker's
             # resident shards (untouched entries contribute zeros) — the
             # coordinator aggregates these into the run's ShippingStats.
@@ -1201,14 +1162,14 @@ class SimulatedExecutor:
         sigma_key: Optional[object] = None,
         plan_key: Optional["PlanKey"] = None,
         phase: Optional[UnitPhase] = None,
-    ) -> List[List[Optional["UnitResult"]]]:
-        """Execute every primary unit; replicas map to ``None``.
+    ) -> List["SlotResult"]:
+        """Execute every primary unit: one result per plan slot.
 
         Each slot runs through the engine's one slot loop
         (:func:`~repro.parallel.engine.run_slot`), the same one a worker
-        process runs, so both backends consume and produce
-        identically-shaped unit payloads.  ``phase`` gives every unit
-        its kind, inputs and eval mode.  ``sigma_key`` and ``plan_key``
+        process runs, so both backends consume and produce identical
+        slot results.  ``phase`` gives every unit its kind, inputs and
+        eval mode.  ``sigma_key`` and ``plan_key``
         name what a worker slot may already hold; nothing is resident
         here, so they are unused.
         """
@@ -1919,14 +1880,15 @@ class MultiprocessExecutor:
         sigma_key: Optional[object] = None,
         plan_key: Optional[PlanKey] = None,
         phase: Optional[UnitPhase] = None,
-    ) -> List[List[Optional["UnitResult"]]]:
+    ) -> List["SlotResult"]:
         """Execute every primary unit in the started pool's workers.
 
-        Returns per-worker result lists aligned with ``plan``: one
-        :class:`~repro.parallel.engine.UnitResult` per primary unit,
-        ``None`` per replica — the same shape :class:`SimulatedExecutor`
-        produces.  Shipping is warm through the pool's
-        :attr:`shard_cache` only for a caller that names its rule set:
+        Returns one :class:`~repro.parallel.engine.SlotResult` per plan
+        slot (an empty one for a slot without primaries), as
+        :class:`SimulatedExecutor` does; each is the worker's own reply
+        object, with its group payloads unpacked from their one blob,
+        so nothing is rebuilt per unit.  Shipping is warm through the
+        pool's :attr:`shard_cache` only for a caller that names its rule set:
         ``sigma_key`` identifies it so a warm slot reships Σ — and only
         Σ — when it changed since the slot's last run, and the caller
         promises to record every edit of ``graph`` in between (as
@@ -1939,7 +1901,7 @@ class MultiprocessExecutor:
         with any ``REPRO_FAULT_PLAN`` resolved per run (see the module
         docstring's "Fault tolerance").
         """
-        from .engine import MaterialiserStats
+        from .engine import MaterialiserStats, SlotResult
 
         if not self._procs:
             raise RuntimeError(
@@ -1965,26 +1927,17 @@ class MultiprocessExecutor:
             self, sigma, graph, primaries, busy, sigma_key, stats,
             resolve_fault_policy(self.fault_policy), plan_key, phase,
         ).execute()
-        results: Dict[int, List["UnitResult"]] = {}
-        for _, pid, pairs, cache_stats, gc_stats in replies:
+        results = [SlotResult() for _ in plan]
+        for _, pid, entries, cache_stats, gc_stats in replies:
             stats.block_cache.merge(cache_stats)
             stats.gc_full_collections += gc_stats[0]
             stats.gc_pause_max = max(stats.gc_pause_max, gc_stats[1])
-            for slot, columns in pairs:
-                results[slot] = _unpack_results(primaries[slot], columns)
-                stats.worker_pids[slot] = pid
-                payloads_blob = columns[3]
-                if payloads_blob is not None:
+            for slot, result, payloads in entries:
+                if payloads is not None:
                     # the one blob the worker serialised, and we measure
-                    stats.payload_bytes += len(payloads_blob)
+                    result.payloads = unpack_shard(payloads)
+                    stats.payload_bytes += len(payloads)
+                results[slot] = result
+                stats.worker_pids[slot] = pid
         self.last_shipping = stats
-        aligned: List[List[Optional["UnitResult"]]] = []
-        for worker, worker_units in enumerate(plan):
-            worker_results = iter(results.get(worker, ()))
-            aligned.append(
-                [
-                    next(worker_results) if unit.primary else None
-                    for unit in worker_units
-                ]
-            )
-        return aligned
+        return results

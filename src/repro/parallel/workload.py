@@ -59,8 +59,8 @@ class WorkUnit:
 
     ``payload`` is the kind-specific input — ``"mine"`` carries the
     coordinator's match cap, ``"count"`` the proposed dependencies;
-    results travel back in :attr:`~repro.parallel.engine.UnitResult.
-    payload`.
+    results travel back merged per group and slot, in
+    :attr:`~repro.parallel.engine.SlotResult.payloads`.
 
     ``eval_mode`` selects how ``mine``/``count`` units answer their
     aggregate queries (see :mod:`repro.matching.factorised`): ``auto``
@@ -113,7 +113,9 @@ class UnitPhase:
     (see :attr:`WorkUnit.payload`); ``groups`` maps a leader index to
     the group whose members the phase evaluates in place of the unit's
     own (confirmation's mined rules).  Leader indices survive pickling,
-    so the phase ships apart from the units.
+    so the phase ships apart from the units, and they key the one
+    merged result payload per group that each slot returns
+    (:class:`~repro.parallel.engine.SlotResult`).
     """
 
     kind: str = "detect"

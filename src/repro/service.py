@@ -338,6 +338,8 @@ class ValidationService:
         self._epoch = 0  #: guarded-by: _lock, _cond
         self._submit_seq = 0  #: guarded-by: _lock, _cond
         self._applied_seq = 0  #: guarded-by: _lock, _cond
+        #: ops up to this seq are cut without waiting for a watermark
+        self._flush_seq = 0  #: guarded-by: _lock, _cond
         self._stats = ServiceStats()  #: guarded-by: _lock, _cond
         self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)  #: guarded-by: _lock, _cond
         # The applier owns the session from here on; seed the current
@@ -381,13 +383,18 @@ class ValidationService:
     def flush(self, timeout: Optional[float] = None) -> bool:
         """Block until everything submitted so far has been applied.
 
-        Returns ``False`` on timeout.  After a successful flush (with no
-        concurrent producers) the session's violation set reflects every
-        submitted op, and it is safe to call ``session.validate()``.
+        A pending partial batch is cut at once, without waiting for the
+        age watermark.  Returns ``False`` on timeout.  After a
+        successful flush (with no concurrent producers) the session's
+        violation set reflects every submitted op, and it is safe to
+        call ``session.validate()``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             target = self._submit_seq
+            if target > self._flush_seq:
+                self._flush_seq = target
+                self._cond.notify_all()  # wake the applier's age wait
             while self._applied_seq < target:
                 self._raise_if_failed()
                 if self._closed and not self._queue:
@@ -495,7 +502,8 @@ class ValidationService:
     # the applier thread
     # ------------------------------------------------------------------
     def _cut_batch(self) -> Optional[List[Tuple[int, tuple, float]]]:
-        """Wait for a watermark and slice one batch off the queue.
+        """Wait for a watermark — size, age or a waiting :meth:`flush` —
+        and slice one batch off the queue.
 
         Returns ``None`` when the service is closed and drained.  Must
         be called from the applier thread only.
@@ -506,6 +514,7 @@ class ValidationService:
                     if (
                         self._closed
                         or len(self._queue) >= self.max_batch_ops
+                        or self._queue[0][0] <= self._flush_seq
                     ):
                         break
                     age = self._clock() - self._queue[0][2]

@@ -587,7 +587,8 @@ class ValidationSession:
             phase=mine_phase,
         )
         mine_shipping = backend.last_shipping
-        mine_vf2 = _count_enumerations(mine_results)
+        mine_vf2 = sum(result.vf2_units for result in mine_results)
+        by_leader = {group.leader_index: group for group in groups}
 
         # Merge the units' evidence — worker aggregates in the common
         # path, match lists on the sampled fallback — and propose
@@ -597,7 +598,7 @@ class ValidationSession:
         capped: Dict[int, bool] = {}
         if mine_mode == "matches":
             raw_matches, raw_counts = _gather_match_lists(
-                plan, mine_results, range(len(patterns)), max_matches
+                mine_results, by_leader, range(len(patterns)), max_matches
             )
             for index, pattern in enumerate(patterns):
                 matches = canonical_matches(
@@ -616,15 +617,12 @@ class ValidationSession:
                 index: EvidenceAggregate()
                 for index in range(len(patterns))
             }
-            for slot_units, slot_results in zip(plan, mine_results):
-                for unit, result in zip(slot_units, slot_results):
-                    if result is None or result.payload is None:
-                        continue  # folded into its slot's group carrier
-                    _, _, agg_payload = result.payload
-                    unit_agg = EvidenceAggregate.from_payload(agg_payload)
-                    for member in unit.group.members:
+            for result in mine_results:
+                for leader, agg_payload in result.payloads.items():
+                    slot_agg = EvidenceAggregate.from_payload(agg_payload)
+                    for member in by_leader[leader].members:
                         aggregates[member.index].merge(
-                            unit_agg.rename(member.iso)
+                            slot_agg.rename(member.iso)
                         )
             need_fetch: List[int] = []
             for index, pattern in enumerate(patterns):
@@ -668,11 +666,11 @@ class ValidationSession:
                     probes, graph, fetch_plan, cluster, backend,
                     sigma_key=probe_key, phase=fetch_phase,
                 )
-                mine_vf2 += _count_enumerations(fetch_results)
+                mine_vf2 += sum(result.vf2_units for result in fetch_results)
                 if mine_shipping is not None:
                     mine_shipping.merge(backend.last_shipping)
                 raw_matches, _ = _gather_match_lists(
-                    fetch_plan, fetch_results, need_fetch, max_matches
+                    fetch_results, by_leader, need_fetch, max_matches
                 )
                 for index in need_fetch:
                     matches = canonical_matches(
@@ -757,12 +755,10 @@ class ValidationSession:
                     kind="count", eval_mode=eval_mode, payloads=group_payload
                 ),
             )
-            for slot_units, slot_results in zip(count_plan, count_results):
-                for unit, result in zip(slot_units, slot_results):
-                    if result is None:
-                        continue
+            for result in count_results:
+                for leader, tallies_payload in result.payloads.items():
                     for member, member_counts in zip(
-                        unit.group.members, result.payload
+                        by_leader[leader].members, tallies_payload
                     ):
                         tallies = totals.get(member.index)
                         if tallies is None:
@@ -778,7 +774,7 @@ class ValidationSession:
                 shipping=backend.last_shipping,
                 cache=materialiser.take_stats() if materialiser else None,
                 wall_seconds=time.perf_counter() - phase_started,
-                vf2_units=_count_enumerations(count_results),
+                vf2_units=sum(result.vf2_units for result in count_results),
             ))
 
         # Threshold + naming in the serial reference's iteration order.
@@ -881,10 +877,8 @@ class ValidationSession:
             phase=UnitPhase(kind="detect", groups=confirm_groups),
         )
         violations: Set[Violation] = set()
-        for slot_results in results:
-            for result in slot_results:
-                if result is not None:
-                    violations |= result.violations
+        for result in results:
+            violations |= result.violations
         phase = DiscoveryPhase(
             phase="confirm",
             report=cluster.report(),
@@ -893,7 +887,7 @@ class ValidationSession:
             shipping=backend.last_shipping,
             cache=materialiser.take_stats() if materialiser else None,
             wall_seconds=time.perf_counter() - phase_started,
-            vf2_units=_count_enumerations(results),
+            vf2_units=sum(result.vf2_units for result in results),
         )
         return violations, phase
 
@@ -1193,58 +1187,42 @@ class ValidationSession:
         )
 
 
-def _count_enumerations(results) -> int:
-    """Units of a phase that actually ran a VF2 enumeration.
-
-    Factorised units report ``enumerated=False``, so this
-    is exactly the phase's :attr:`DiscoveryPhase.vf2_units`.
-    """
-    return sum(
-        1
-        for slot in results
-        for result in slot
-        if result is not None and result.enumerated
-    )
-
-
 def _gather_match_lists(
-    mine_plan, mine_results, indices, max_matches: int
+    results, by_leader, indices, max_matches: int
 ) -> Tuple[Dict[int, List[dict]], Dict[int, int]]:
     """Union match-shipping mine payloads per candidate pattern.
 
     Gathers matches for the patterns named by ``indices`` only (pivot
-    candidates partition the match space, so this is a disjoint union),
-    translating leader-space matches into each member pattern's
-    variables.  Accumulation is compacted to the canonical
-    ``max_matches`` smallest once a bucket overflows the floor, so
-    coordinator memory stays O(patterns × max_matches) — compacting to
-    the n-smallest commutes with unioning more matches, so the final
-    canonical selection is unchanged.  Returns ``(matches, totals)``;
-    ``totals`` counts every match (pre-cap), which is what decides
-    whether the ``max_matches`` cap bit.
+    candidates partition the match space, so this is a disjoint union)
+    from each slot's one payload per group (``by_leader`` maps a leader
+    index to its group), translating leader-space matches into each
+    member pattern's variables.  Accumulation is compacted to the
+    canonical ``max_matches`` smallest once a bucket overflows the
+    floor, so coordinator memory stays O(patterns × max_matches) —
+    compacting to the n-smallest commutes with unioning more matches,
+    so the final canonical selection is unchanged.  Returns
+    ``(matches, totals)``; ``totals`` counts every match (pre-cap),
+    which is what decides whether the ``max_matches`` cap bit.
     """
     compact_floor = max(2 * max_matches, 4096)
     raw_matches: Dict[int, List[dict]] = {index: [] for index in indices}
     raw_counts: Dict[int, int] = {index: 0 for index in raw_matches}
-    for slot_units, slot_results in zip(mine_plan, mine_results):
-        for unit, result in zip(slot_units, slot_results):
-            if result is None:
-                continue
-            for position, member in enumerate(unit.group.members):
+    for result in results:
+        for leader, payload in result.payloads.items():
+            for position, member in enumerate(by_leader[leader].members):
                 bucket = raw_matches.get(member.index)
                 if bucket is None:
                     continue
-                if result.payload[0] == "shared":
+                if payload[0] == "shared":
                     # Leader-space matches: translate per member.
                     iso = member.iso
-                    shared = result.payload[1]
                     bucket.extend(
                         {iso[var]: node for var, node in items}
-                        for items in shared
+                        for items in payload[1]
                     )
-                    raw_counts[member.index] += len(shared)
+                    raw_counts[member.index] += len(payload[1])
                 else:  # "members": worker already translated + capped
-                    _, total, per_member = result.payload
+                    _, total, per_member = payload
                     bucket.extend(
                         dict(items) for items in per_member[position]
                     )

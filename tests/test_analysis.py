@@ -368,21 +368,21 @@ class TestDispatchExhaustiveness:
                     if unit.kind == "detect":
                         return 1
                     raise ValueError(unit.kind)
-                def consolidate_slot_results(unit, result):
+                def slot_fold(unit, result):
                     if unit.kind in ("detect", "mine"):
                         return result
             """,
         }, "RPL040")
         assert [f for f in found if "'mine'" in f.message]
 
-    def test_unhandled_kind_in_consolidate_fires(self, tmp_path):
+    def test_unhandled_kind_in_slot_fold_fires(self, tmp_path):
         found = findings_for(tmp_path, {
             "workload.py": _WORKLOAD,
             "engine.py": """
                 def execute_unit(unit):
                     if unit.kind in ("detect", "mine"):
                         return 1
-                def consolidate_slot_results(unit, result):
+                def slot_fold(unit, result):
                     if unit.kind == "detect":
                         return result
             """,
@@ -396,7 +396,7 @@ class TestDispatchExhaustiveness:
                 def execute_unit(unit):
                     if unit.kind in ("detect", "mine"):
                         return 1
-                def consolidate_slot_results(unit, result):
+                def slot_fold(unit, result):
                     if unit.kind in ("detect", "mine"):
                         return result
             """,

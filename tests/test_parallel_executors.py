@@ -6,8 +6,8 @@ backend and the real :class:`MultiprocessExecutor` backend (the
 supervised worker pool) produce
 
 * identical violation sets (both equal to sequential ``detVio``),
-* identical per-unit :class:`UnitResult`s (violations, measured steps,
-  block sizes), and
+* identical per-slot :class:`SlotResult`s (per-unit measured steps,
+  violations, VF2-unit counts), and
 * identical :class:`ClusterReport`s (cost charging happens on the
   coordinator from per-unit measurements, so the simulated figures are
   exactly reproducible under real concurrency).
@@ -181,17 +181,17 @@ class TestPerUnitResults:
         sim = SimulatedExecutor().run(sigma, graph, plan)
         with MultiprocessExecutor(processes=2, ship_mode=SHIP_MODE) as pool:
             proc = pool.run(sigma, graph, plan)
-        assert [len(w) for w in sim] == [len(w) for w in proc]
+        assert len(sim) == len(proc) == len(plan)
         compared = 0
-        for sim_worker, proc_worker in zip(sim, proc):
-            for sim_result, proc_result in zip(sim_worker, proc_worker):
-                assert (sim_result is None) == (proc_result is None)
-                if sim_result is None:
-                    continue
-                assert sim_result.violations == proc_result.violations
-                assert sim_result.steps == proc_result.steps
-                assert sim_result.block_size == proc_result.block_size
-                compared += 1
+        for slot, sim_result, proc_result in zip(plan, sim, proc):
+            primaries = sum(1 for unit in slot if unit.primary)
+            # one steps entry per primary unit, in slot order
+            assert len(sim_result.steps) == primaries
+            assert sim_result.steps == proc_result.steps
+            assert sim_result.violations == proc_result.violations
+            assert sim_result.vf2_units == proc_result.vf2_units == primaries
+            assert sim_result.payloads == proc_result.payloads == {}
+            compared += len(proc_result.steps)
         assert compared == sum(1 for u in units if u.primary)
 
 
@@ -302,11 +302,7 @@ class TestPoolLifecycle:
 
 
 def _union(results):
-    return {
-        violation
-        for worker in results for result in worker if result is not None
-        for violation in result.violations
-    }
+    return set().union(*(result.violations for result in results))
 
 
 def _set_every_value(graph, value):

@@ -10,7 +10,7 @@ from repro.parallel import (
     reduce_rules,
     reduction_ratio,
 )
-from repro.parallel.engine import UnitResult
+from repro.parallel.engine import SlotResult
 
 
 class TestWorkloadReduction:
@@ -60,9 +60,9 @@ class TestExecuteUnit:
         )
         assert len(units) == 1
         result = execute_unit(sigma, graph, units[0])
-        assert isinstance(result, UnitResult)
+        assert isinstance(result, SlotResult)
         assert result.violations == det_vio(sigma, graph)
-        assert result.block_size == units[0].block_size
+        assert len(result.steps) == 1  # one column entry for the one unit
 
     def test_units_cover_all_violations(self):
         graph = power_law_graph(200, 500, seed=17, domain_size=5)

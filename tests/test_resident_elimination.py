@@ -168,7 +168,7 @@ def _edge(graph):
 
     def evidence(probes, unit):
         mine = replace(unit, kind="mine", payload=(5000, "aggregate"))
-        return execute_unit(probes, graph, mine).payload
+        return execute_unit(probes, graph, mine).payloads
 
     probes = probe_gfds(candidate_patterns(graph))
     units = mined(probes)

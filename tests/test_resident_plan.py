@@ -11,12 +11,13 @@ travels, each run must equal a fresh session's run and serial
 Resident plans must be acyclic like the rest of a slot's resident state
 (README "Worker heap"), and the slot loop that runs them resolves each
 group's pattern-level work once, so the last class pins that it returns
-what per-unit ``execute_unit`` returns, on a pivot whose symmetry class
-really permutes.
+what merging per-unit ``execute_unit`` results returns, on a pivot whose
+symmetry class really permutes.
 """
 
 import gc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.matching.locality import symmetry_classes
 from repro.parallel import estimate_workload, execute_unit
 from repro.parallel.engine import (
     BlockMaterialiser,
+    _MatchFold,
     consolidate_slot_results,
     run_slot,
 )
@@ -141,8 +143,8 @@ class TestResidentPlanIsAcyclic:
             shipped = _run_slot(cache, 0, "full", full, unpack_shard(plan_blob))
             resident = _run_slot(cache, 0, "reuse", ("e1", None), None)
             # no result memo: the resident plan is enumerated again
-            assert all(r.enumerated for r in resident)
-            assert [r.steps for r in resident] == [r.steps for r in shipped]
+            assert resident.vf2_units == len(units)
+            assert resident.steps == shipped.steps
             del shipped, resident
             assert len(cache[("e1", 0)].plan) == len(units)
             cache.pop(("e1", 0)).release_segment()
@@ -171,15 +173,16 @@ def _symmetric_workload():
 
 
 class TestGroupedSlotLoop:
-    @pytest.mark.parametrize("kind", ["detect", "mine", "count"])
+    @pytest.mark.parametrize("kind", ["detect", "mine", "matches", "count"])
     def test_slot_loop_equals_per_unit_execution(self, kind):
         graph, sigma = _symmetric_workload()
         assert (0, 1) in symmetry_classes(sigma[0].pattern, sigma[0].pivot)
         units = estimate_workload(
             sigma, graph, groups=build_shared_groups(sigma)
         )
-        if kind == "mine":
-            units = [replace(u, kind="mine", payload=(50, "aggregate"),
+        if kind in ("mine", "matches"):
+            mode = "aggregate" if kind == "mine" else "matches"
+            units = [replace(u, kind="mine", payload=(50, mode),
                              eval_mode="enumerate") for u in units]
         elif kind == "count":
             units = [
@@ -193,17 +196,20 @@ class TestGroupedSlotLoop:
             execute_unit(sigma, graph, unit, BlockMaterialiser(graph))
             for unit in units
         ]
-        consolidate_slot_results(units, per_unit)
+        assert all(len(result.steps) == 1 for result in per_unit)
+        merged = consolidate_slot_results(units, per_unit)
         grouped = run_slot(sigma, units, BlockMaterialiser(graph))
-
-        def outcome(result):
-            return (result.violations, result.steps, result.enumerated,
-                    result.payload)
-
-        assert [outcome(r) for r in grouped] == [outcome(r) for r in per_unit]
-        assert sum(r.steps for r in grouped if r) > 0
-        if kind == "detect":
-            found = set().union(*(r.violations for r in grouped))
+        # steps column, VF2 count, violations and every group's payload
+        assert grouped == merged
+        assert sum(grouped.steps) > 0
+        assert grouped.vf2_units == len(units)  # "enumerate" throughout
+        if kind != "detect":  # one merged payload per group
+            assert list(grouped.payloads) == list(dict.fromkeys(
+                unit.group.leader_index for unit in units
+            ))
+        else:
+            assert not grouped.payloads
+            found = grouped.violations
             assert found == det_vio(sigma, graph)
             # the pair's swapped orientation was matched too: x ↦ the
             # later node of a deduplicated candidate tuple
@@ -212,3 +218,25 @@ class TestGroupedSlotLoop:
                 and repr(v.match["x"]) > repr(v.match["y"])
                 for v in found
             )
+
+    def test_match_lists_merge_like_one_fold(self):
+        """Past the threshold a match fold keeps each member's canonical
+        cap-smallest; merging a leader-space part and a member-space part
+        gives what one fold over every match gives."""
+        members = (SimpleNamespace(iso={"x": "x", "y": "y"}),
+                   SimpleNamespace(iso={"x": "y", "y": "x"}))
+        matches = [(("x", n), ("y", 9999 - n)) for n in range(5000)]
+        whole = _MatchFold(10, members)
+        head, tail = _MatchFold(10, members), _MatchFold(10, members)
+        for position, items in enumerate(matches):
+            whole.add(items)
+            (head if position < 100 else tail).add(items)
+        assert head.payload()[0] == "shared"
+        assert tail.payload()[0] == "members"
+        merged = _MatchFold(10, members)
+        merged.merge(head.payload())
+        merged.merge(tail.payload())
+        assert merged.payload() == whole.payload()
+        _, count, per_member = whole.payload()
+        assert count == 5000
+        assert [len(kept) for kept in per_member] == [10, 10]

@@ -40,7 +40,7 @@ from repro import (
     generate_gfds,
     power_law_graph,
 )
-from repro.parallel.engine import UnitResult, consolidate_slot_results
+from repro.parallel.engine import SlotResult, consolidate_slot_results
 from repro.parallel.executors import shm_available
 from repro.service import Subscription
 
@@ -428,6 +428,25 @@ class TestLifecycle:
             with pytest.raises(RuntimeError, match="closed"):
                 service.submit([("attr", "flight2_to", "val", "NYC")])
 
+    def test_flush_cuts_a_partial_batch(self, g1, phi1):
+        """A flush does not wait out the age watermark: with the clock
+        frozen the batch never ages, so only the flush can cut it."""
+        with ValidationSession(g1, [phi1], executor="simulated") as session:
+            session.validate(n=2)
+            with ValidationService(
+                session, max_batch_ops=4, max_batch_age=5,
+                clock=lambda: 0.0,
+            ) as service:
+                for city in ("NYC", "Singapore", "Paris"):
+                    service.submit([("attr", "flight2_to", "val", city)])
+                started = time.monotonic()
+                assert service.flush(timeout=1.0)
+                assert time.monotonic() - started < 1.0
+                stats = service.stats()
+                assert stats.applied + stats.cancelled == 3
+                assert stats.batches == 1
+            assert session.violations == det_vio([phi1], g1)
+
     def test_applier_failure_fails_stop(self, g1, phi1):
         with ValidationSession(g1, [phi1], executor="simulated") as session:
             session.validate(n=2)
@@ -536,23 +555,24 @@ class TestServeCli:
 
 
 class TestDetectConsolidation:
-    def test_detect_results_union_into_group_carrier(self):
-        group_a, group_b = object(), object()
+    def test_detect_results_union_into_one_slot_result(self):
+        group_a = SimpleNamespace(leader_index=0, members=())
+        group_b = SimpleNamespace(leader_index=1, members=())
         units = [
-            SimpleNamespace(kind="detect", group=group_a),
-            SimpleNamespace(kind="detect", group=group_a),
-            SimpleNamespace(kind="detect", group=group_b),
-            SimpleNamespace(kind="detect", group=group_a),
+            SimpleNamespace(kind="detect", group=group, payload=None,
+                            eval_mode="auto")
+            for group in (group_a, group_a, group_b, group_a)
         ]
         results = [
-            UnitResult(violations={"v1"}, steps=3, block_size=5),
-            UnitResult(violations={"v1", "v2"}, steps=2, block_size=4),
-            UnitResult(violations={"v3"}, steps=1, block_size=2),
-            None,  # skipped unit: consolidation must tolerate holes
+            SlotResult(steps=[3], vf2_units=1, violations={"v1"}),
+            SlotResult(steps=[2], vf2_units=1, violations={"v1", "v2"}),
+            SlotResult(steps=[1], vf2_units=1, violations={"v3"}),
+            SlotResult(),  # a replica's one-unit result is empty
         ]
-        consolidate_slot_results(units, results)
-        assert results[0].violations == {"v1", "v2"}
-        assert results[1].violations == set()
-        assert results[2].violations == {"v3"}
-        # cost accounting is untouched by the fold
-        assert [r.steps for r in results[:3]] == [3, 2, 1]
+        merged = consolidate_slot_results(units, results)
+        assert merged.violations == {"v1", "v2", "v3"}
+        assert merged.payloads == {}  # detect ships violations only
+        # cost accounting keeps one steps entry per executed unit
+        assert merged.steps == [3, 2, 1]
+        assert merged.vf2_units == 3
+        assert results[0].violations == {"v1"}  # inputs stay as they were

@@ -146,9 +146,9 @@ class TestFrozenHeapDoesNotLeak:
         cache = {}
 
         def batch(mode, payload):
-            results = _run_slot(cache, 0, mode, payload, units)
-            assert len(results) == len(units)
-            del results
+            result = _run_slot(cache, 0, mode, payload, units)
+            assert len(result.steps) == len(units)
+            del result
             _freeze_batch_heap()
             return gc.get_freeze_count()
 
