@@ -375,7 +375,7 @@ def cmd_discover(args, out: TextIO) -> int:
             line += f", {phase.vf2_units} unit(s) ran VF2 enumeration"
         out.write(line + "\n")
     if rules:
-        # Confirmation pass (rules mined below confidence 1.0
+        # Vio of the mined Σ (rules mined below confidence 1.0
         # legitimately carry violations).
         violations = run.violations if run.violations is not None else set()
         out.write(
@@ -383,11 +383,13 @@ def cmd_discover(args, out: TextIO) -> int:
             f"violation(s) across {len(rules)} rule(s)\n"
         )
         # A confidence-1.0 rule from an *uncapped* pattern holds on every
-        # match, so a confirmation violation means mining and validation
-        # disagree — the same internal-inconsistency contract cmd_bench
-        # enforces.  Capped rules are excluded: their confidence covers
-        # only the canonical counted subset, so confirmation violations
-        # from uncounted matches are legitimate.
+        # match.  The session relies on that and does not confirm such
+        # rules, so one in ``violations`` means mining and the session's
+        # confirmation disagree — the same internal-inconsistency
+        # contract cmd_bench enforces, kept as a guard on the session.
+        # Capped rules are excluded: their confidence covers only the
+        # canonical counted subset, so confirmation violations from
+        # uncounted matches are legitimate.
         exact = {
             m.gfd.name
             for m in run.rules

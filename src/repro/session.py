@@ -134,8 +134,10 @@ class DiscoveryPhase:
     Discovery executes as (up to) three plans over the parallel engine —
     ``enumerate`` (pivoted match enumeration per isomorphism group, plus
     the capped-pattern match fetch when the fallback engages), ``count``
-    (support/confidence tallies for the proposed dependencies) and
-    ``confirm`` (validation of the mined Σ) — each reported exactly
+    (support/confidence tallies for the proposed dependencies, run when
+    some uncapped pattern has a proposal) and ``confirm`` (validation of
+    the mined rules the tallies leave open, run when there is one) —
+    each reported exactly
     like a :class:`~repro.parallel.engine.ValidationRun`: the simulated
     cluster's cost figures plus what the warm machinery actually did
     (``shipping`` on process runs, ``cache`` on simulated ones).
@@ -171,14 +173,17 @@ class DiscoveryRun:
     ``rules`` is the mined set — identical (rules, names, supports,
     confidences) to serial :func:`~repro.core.discovery.discover_gfds`
     with the same parameters, whatever the executor or worker count.
-    ``violations`` is the mined-Σ confirmation pass's result (``None``
-    when confirmation was skipped or nothing was mined).  A rule mined
-    at confidence 1.0 can appear in it only when its pattern's match set
+    ``violations`` is ``Vio`` of the whole mined Σ (``None`` when
+    confirmation was skipped or nothing was mined).  A rule mined at
+    confidence 1.0 can appear in it only when its pattern's match set
     was capped at ``max_matches`` — its name is then in
     ``capped_rules``, because support/confidence describe the canonical
     counted subset while confirmation validates *every* match.  For
     uncapped rules, confidence 1.0 guarantees absence from
-    ``violations``.
+    ``violations``, so the confirmation pass enumerates only the *open*
+    rules — capped ones and those whose tallies show
+    ``satisfied < supported``.  When no rule is open, ``violations`` is
+    the empty set and no ``confirm`` phase runs.
     """
 
     rules: List[DiscoveredGFD]
@@ -485,15 +490,19 @@ class ValidationSession:
         the three phases — ``enumerate``, ``count``, ``confirm`` — run
         over the same plan, so the second and third hit warm
         worker-resident shards and ship *zero* block-shares (the
-        confirmation pass ships only the mined Σ itself).
+        confirmation pass ships only the rules it validates).
 
         Without ``fragmentation`` this is replicated-style mining (``n``
         worker slots, LPT-balanced); with one, fragmented-graph mining
         (``disVal``-style bi-criteria assignment over the fragments'
         block shares).  ``confirm=False`` skips the mined-Σ validation
-        pass; otherwise ``DiscoveryRun.violations`` holds its result
-        (an uncapped rule mined at confidence 1.0 can never appear in
-        it — see :attr:`DiscoveryRun.capped_rules` for the cap caveat).
+        pass; otherwise ``DiscoveryRun.violations`` holds ``Vio`` of the
+        mined Σ.  Confirmation answers from the count tallies first: an
+        uncapped rule with ``satisfied == supported`` cannot be violated,
+        so only the open rules — a tally deficit, or a pattern in
+        :attr:`DiscoveryRun.capped_rules` — are validated.  When none is
+        open, no ``confirm`` phase runs, no Σ is swapped, and the probe
+        Σ stays resident for the next discover.
 
         ``eval_mode`` is threaded to every mine/count unit (see
         :func:`~repro.core.discovery.discover_gfds`): under ``"auto"``
@@ -800,15 +809,32 @@ class ValidationSession:
             if capped.get(pattern_pos[id(mined.gfd.pattern)], False)
         )
 
-        # ---- phase 3: confirm — validate the mined Σ over the same plan
-        # slots, so warm worker shards are hit again (only Σ travels).
+        # ---- phase 3: confirm — validate the mined rules the tallies leave
+        # open over the same plan slots, so warm worker shards are hit
+        # again (only Σ travels).  An uncapped rule with satisfied ==
+        # supported has no violation: every match satisfying X satisfies
+        # Y.  A capped rule's tallies cover only the canonical prefix, so
+        # it is always open.
         violations: Optional[Set[Violation]] = None
         if confirm and rules:
-            violations, phase = self._confirm_mined(
-                rules, patterns, probes, groups, plan, workers,
-                backend, materialiser, probe_key,
-            )
-            phases.append(phase)
+            exact = {
+                (id(pattern), lhs, rhs)
+                for pattern, (lhs, rhs), supported, satisfied in selected
+                if satisfied == supported
+            }
+            open_rules = [
+                mined for mined in rules
+                if mined.gfd.name in capped_rules
+                or (id(mined.gfd.pattern), mined.gfd.lhs, mined.gfd.rhs)
+                not in exact
+            ]
+            violations = set()
+            if open_rules:
+                violations, phase = self._confirm_mined(
+                    open_rules, patterns, probes, groups, plan, workers,
+                    backend, materialiser, probe_key,
+                )
+                phases.append(phase)
 
         return DiscoveryRun(
             rules=rules,
@@ -824,16 +850,20 @@ class ValidationSession:
         self, rules, patterns, probes, groups, plan, workers,
         backend, materialiser, probe_key,
     ) -> Tuple[Set[Violation], DiscoveryPhase]:
-        """Validate the mined Σ over the mining plan.
+        """Validate the open mined rules over the mining plan.
 
-        Mined rules inherit their probes' patterns, pivots and blocks, so
+        ``rules`` holds only the mined rules the count tallies leave open
+        (a deficit, or a capped pattern); :meth:`discover` skips this
+        pass when there are none.  Mined rules inherit their probes'
+        patterns, pivots and blocks, so
         detection runs the mining units themselves under a ``detect``
-        phase whose groups hold the mined members — same slots, same
-        block node sets.  Per-slot
+        phase whose groups hold the open members — same slots, same
+        block node sets, restricted to the groups with an open member.
+        Per-slot
         ``needed`` is therefore a subset of what mining left resident:
-        the pass ships zero block-shares, only the mined Σ itself.  Each
-        unit enumerates its witnesses afresh with VF2 over its warm block
-        (the Σ swap keeps the block's matchers).  Probes prefix the
+        the pass ships zero block-shares, only the open rules themselves.
+        Each unit enumerates its witnesses afresh with VF2 over its warm
+        block (the Σ swap keeps the block's matchers).  Probes prefix the
         shipped Σ so leader indices keep naming the enumerated pattern;
         dependency-free probes produce no violations.
         """

@@ -112,14 +112,31 @@ def pokec_inputs(tmp_path_factory):
     return cwd
 
 
-def test_discover_byte_counters_are_seed_independent(pokec_inputs):
-    outputs = [
-        WALL.sub(b"<t>s wall", run_cli(["discover", "p.jsonl", *PROCESS],
-                                       seed, pokec_inputs))
+def _pokec_discover_outputs(pokec_inputs, *options):
+    args = ["discover", "p.jsonl", *options, *PROCESS]
+    return [
+        WALL.sub(b"<t>s wall", run_cli(args, seed, pokec_inputs))
         for seed in SEEDS
     ]
+
+
+def test_discover_byte_counters_are_seed_independent(pokec_inputs):
+    outputs = _pokec_discover_outputs(pokec_inputs)
     assert b"unit-payload byte(s)" in outputs[0]
     assert b"[mined0]" in outputs[0]
+    # Every rule mined at the default confidence is exact, so the count
+    # tallies leave nothing for a confirm phase to validate.
+    assert b"# confirm:" not in outputs[0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_discover_confirm_byte_counters_are_seed_independent(pokec_inputs):
+    """At a low confidence some mined rules fall short of 1.0, so the
+    confirm phase runs and its counters are pinned too."""
+    outputs = _pokec_discover_outputs(pokec_inputs, "--confidence", "0.05")
+    assert b"# confirm:" in outputs[0]
+    assert b"unit-payload byte(s)" in outputs[0]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 

@@ -37,13 +37,15 @@ EDGE_LABELS = ("e", "f")
 
 
 @st.composite
-def small_graphs(draw, max_nodes=6, max_edges=8):
+def small_graphs(draw, max_nodes=6, max_edges=8, attrs=("A",)):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     g = PropertyGraph()
     for i in range(n):
         label = draw(st.sampled_from(NODE_LABELS))
-        value = draw(st.integers(min_value=0, max_value=2))
-        g.add_node(i, label, {"A": value})
+        g.add_node(i, label, {
+            attr: draw(st.integers(min_value=0, max_value=2))
+            for attr in attrs
+        })
     num_edges = draw(st.integers(min_value=0, max_value=max_edges))
     for _ in range(num_edges):
         src = draw(st.integers(min_value=0, max_value=n - 1))
@@ -231,6 +233,36 @@ def test_parallel_algorithms_agree_with_sequential(seed, n):
     assert rep_val(sigma, graph, n=n).violations == expected
     fr = hash_partition(graph, n)
     assert dis_val(sigma, fr).violations == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(max_nodes=10, max_edges=16, attrs=("A", "B")),
+       min_confidence=st.sampled_from((0.5, 0.8, 1.0)),
+       max_matches=st.sampled_from((3, 5000)),
+       eval_mode=st.sampled_from(("auto", "enumerate")))
+def test_exact_uncapped_mined_rules_have_no_violations(
+    graph, min_confidence, max_matches, eval_mode
+):
+    """A rule mined from an uncapped pattern with ``satisfied ==
+    supported`` has no violation: every match satisfying X satisfies Y.
+
+    Session discovery skips confirming such rules on this lemma alone,
+    so it is pinned against ``det_vio`` on the serial miner, over both
+    tally paths (factorised and enumerated).  A capped pattern's tallies
+    cover only the canonical prefix, so its rules are left out."""
+    from repro.core import discover_gfds
+
+    rules = discover_gfds(
+        graph, min_support=2, min_confidence=min_confidence,
+        max_matches=max_matches, eval_mode=eval_mode,
+    )
+    for mined in rules:
+        pattern = mined.gfd.pattern
+        capped = sum(
+            1 for _ in find_matches(pattern, graph, limit=max_matches + 1)
+        ) > max_matches
+        if mined.confidence == 1.0 and not capped:
+            assert det_vio([mined.gfd], graph) == set(), mined.gfd
 
 
 @settings(max_examples=15, deadline=None)
