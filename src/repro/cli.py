@@ -34,7 +34,6 @@ from .core import GFD, det_vio, generate_gfds, is_satisfiable, parse_gfd
 from .core.implication import minimal_cover
 from .graph import load_graph, power_law_graph, save_graph
 from .graph.partition import greedy_edge_cut_partition
-from .matching import EVAL_MODES
 from .session import ValidationSession
 
 
@@ -344,7 +343,6 @@ def cmd_discover(args, out: TextIO) -> int:
             max_edges=args.max_edges,
             max_matches=args.max_matches,
             n=workers,
-            eval_mode=args.eval_mode,
         )
     rules = run.sigma
     text = format_rule_file(rules) if rules else "# nothing discovered\n"
@@ -599,11 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--max-matches", type=_positive_int, default=5000,
                           help="matches counted per candidate pattern "
                                "(canonical selection)")
-    discover.add_argument("--eval-mode", choices=list(EVAL_MODES),
-                          default="auto",
-                          help="how mine/count units answer aggregate "
-                               "queries: factorise acyclic patterns, "
-                               "enumerate matches, or pick automatically")
     _add_executor_flags(discover)
     discover.set_defaults(func=cmd_discover)
 

@@ -27,8 +27,12 @@ applied consistently (quotient candidates are block-wise intersections)
 sets sound here.  A quotient whose condensed constraint graph is cyclic
 cannot be eliminated on a tree; if such a quotient has non-empty
 candidates the plan is rejected and the caller falls back to
-enumeration (:class:`~repro.matching.vf2.SubgraphMatcher` wires the
-fallback behind its ``eval_mode`` knob).
+enumeration.  :class:`~repro.matching.vf2.SubgraphMatcher` wires the
+fallback behind its ``eval_mode`` knob, which the serial reference
+:func:`~repro.core.discovery.discover_gfds` passes through; the parallel
+engine has no knob — its mine/count units factorise whenever
+:meth:`~repro.matching.vf2.SubgraphMatcher.factorised_plan` exists and
+enumerate otherwise.
 
 Everything here is deterministic: candidates are iterated in sorted
 index order, and the work counter (``ops``) is a sum of pool and
@@ -51,8 +55,9 @@ from ..pattern.pattern import GraphPattern, Variable
 if TYPE_CHECKING:  # avoid a cycle: vf2 imports this module at load time
     from .vf2 import MatchStats
 
-#: Evaluation-mode knob shared by the matcher, discovery and the session:
-#: ``auto`` factorises when the plan is valid and enumerates otherwise;
+#: Evaluation-mode knob of the matcher's aggregate queries and the serial
+#: reference ``discover_gfds``: ``auto`` factorises when the plan is valid
+#: and enumerates otherwise;
 #: the explicit modes force one path (``factorised`` raising when the
 #: pattern does not factorise).
 EVAL_MODES = ("auto", "factorised", "enumerate")

@@ -417,9 +417,12 @@ def execute_unit(
     per match: ``detect`` evaluates member dependencies into violations,
     ``mine`` folds or returns the matches, ``count`` tallies proposed
     dependencies (see :mod:`repro.core.discovery`).  A unit is answered
-    one of two ways: from the block's resident factorised eliminations
-    (aggregate ``mine`` and ``count`` under ``eval_mode`` ``"auto"`` or
-    ``"factorised"``), or by a fresh VF2 enumeration.
+    one of two ways, by what it can observe: from the block's resident
+    factorised eliminations (an aggregate ``mine`` or a ``count`` whose
+    leader pattern factorises and, for ``count``, whose tally shapes
+    compile), or by a fresh VF2 enumeration (everything else: cyclic
+    or wide patterns, unhashable values, ``"matches"`` folds and
+    ``detect``).
 
     This is a one-unit :func:`run_slot`: a replica's result is empty.
     A whole slot runs through :func:`run_slot` instead, which resolves
@@ -435,8 +438,8 @@ class _Group:
 
     Every unit of a group runs the same leader pattern over its own
     block, so the leader, its members and its pivot's symmetry classes
-    depend on the group alone, and so do the kind, inputs and eval mode
-    the run's :class:`~repro.parallel.workload.UnitPhase` gives it.
+    depend on the group alone, and so do the kind and inputs the run's
+    :class:`~repro.parallel.workload.UnitPhase` gives it.
     When every class is a singleton (a one-entry pivot, or one whose
     components are pairwise non-isomorphic), a candidate tuple has
     exactly one permutation — itself — so a unit pins its own
@@ -448,7 +451,7 @@ class _Group:
     """
 
     __slots__ = ("sigma", "leader_index", "pattern", "pivot", "members",
-                 "direct", "kind", "eval_mode", "given", "payload",
+                 "direct", "kind", "given", "payload",
                  "fold", "_shapes")
 
     def __init__(
@@ -465,7 +468,6 @@ class _Group:
             for members in symmetry_classes(leader.pattern, leader.pivot)
         )
         self.kind = phase.kind
-        self.eval_mode = phase.eval_mode
         self.given = payload = phase.payloads.get(group.leader_index)
         if self.kind == "count":
             payload = _derived_count_payload(payload, self.members)
@@ -477,7 +479,6 @@ class _Group:
         """Whether ``unit``'s own fields name this group's phase."""
         return (
             unit.kind == self.kind
-            and unit.eval_mode == self.eval_mode
             and (unit.payload is self.given or unit.payload == self.given)
         )
 
@@ -548,8 +549,8 @@ def run_slot(
     :class:`MatchStats` — so each unit's ``steps``, and with them the
     cost report, are what :func:`execute_unit` measures.  Each group's
     results merge as they are produced, into one payload per group
-    (:func:`slot_fold`).  ``phase`` gives every unit its kind, inputs
-    and eval mode; without one, each unit's own fields do.  ``faults``
+    (:func:`slot_fold`).  ``phase`` gives every unit its kind and
+    inputs; without one, each unit's own fields do.  ``faults``
     (a worker's fault injection triggers) is consulted before every
     unit, and ``progress[0]`` — the counter a worker's heartbeat
     reports — ticks after each.
@@ -642,25 +643,17 @@ def _factorised_mine(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-    strict: bool,
 ) -> Optional[int]:
     """Fold the unit's evidence by factorised evaluation, if possible.
 
     Merges the leader pattern's evidence over the unit's re-expanded
     pivot permutations, straight off the block's factorised plan — no
     VF2 — into the group's aggregate, and returns the unit's steps.
-    Returns ``None`` when the pattern does not factorise on this block
-    (``strict`` raises instead — the ``eval_mode="factorised"``
-    contract).
+    Returns ``None`` when the pattern does not factorise on this block.
     """
     block, matcher = group.matcher(materialiser, unit)
     plan = matcher.factorised_plan()
     if plan is None:
-        if strict:
-            raise ValueError(
-                "eval_mode='factorised' but the unit's leader pattern "
-                "does not factorise"
-            )
         return None
     stats = MatchStats()
     aggregate = group.fold.aggregate
@@ -674,7 +667,6 @@ def _factorised_count(
     group: _Group,
     unit: WorkUnit,
     materialiser: BlockMaterialiser,
-    strict: bool,
 ) -> Optional[Tuple[int, tuple]]:
     """The count-unit steps and tallies by factorised evaluation, if possible.
 
@@ -687,11 +679,6 @@ def _factorised_count(
     plan = matcher.factorised_plan()
     shapes = group.tally_shapes() if plan is not None else None
     if shapes is None or any(shape is None for shape in shapes):
-        if strict:
-            raise ValueError(
-                "eval_mode='factorised' but the unit does not factorise "
-                "(cyclic pattern or unsupported dependency forms)"
-            )
         return None
     member_deps = group.payload
     stats = MatchStats()
@@ -704,11 +691,6 @@ def _factorised_count(
                 block, deps, shape, elimination, stats=stats
             )
             if tallies is None:
-                if strict:
-                    raise ValueError(
-                        "eval_mode='factorised' but a dependency "
-                        "candidate's attribute values are unhashable"
-                    )
                 return None
             for tally, (supported, satisfied) in zip(
                 counts[member_pos], tallies
@@ -750,9 +732,10 @@ def _execute_mine(
       group's mergeable
       :class:`~repro.core.discovery.EvidenceAggregate`, which the slot
       ships encoded — ``O(vars × attrs)`` however many matches the
-      blocks hold.  Under ``eval_mode`` ``"auto"``/``"factorised"`` the
-      evidence comes off the block's resident eliminations instead of
-      an enumeration.
+      blocks hold.  When the leader pattern factorises, the evidence
+      comes off the block's resident eliminations instead of an
+      enumeration; otherwise (cyclic or wide patterns) the unit
+      enumerates.
     * ``mode="matches"``: the match lists themselves ship
       (:class:`_MatchFold`) — the documented fallback the coordinator
       requests when a pattern's ``max_matches`` cap bites
@@ -761,11 +744,8 @@ def _execute_mine(
       explicit seeded evidence sample is requested.
     """
     fold = group.fold
-    if fold.__class__ is _EvidenceFold and group.eval_mode != "enumerate":
-        steps = _factorised_mine(
-            group, unit, materialiser,
-            strict=group.eval_mode == "factorised",
-        )
+    if fold.__class__ is _EvidenceFold:
+        steps = _factorised_mine(group, unit, materialiser)
         if steps is not None:
             return steps, False
 
@@ -803,15 +783,11 @@ def _execute_count(
     beside the block's matcher, serve here — the counting phase of a
     warm ``discover()`` runs zero VF2.  Otherwise the unit enumerates.
     """
-    if group.eval_mode != "enumerate":
-        found = _factorised_count(
-            group, unit, materialiser,
-            strict=group.eval_mode == "factorised",
-        )
-        if found is not None:
-            steps, tallies = found
-            group.fold.merge(tallies)
-            return steps, False
+    found = _factorised_count(group, unit, materialiser)
+    if found is not None:
+        steps, tallies = found
+        group.fold.merge(tallies)
+        return steps, False
     member_deps = group.payload
     counts = [
         [[0, 0] for _ in deps] for deps in member_deps
@@ -1087,7 +1063,7 @@ def run_units(
     (a session's supervised pool, shipping warm through its own shard
     mirror).  ``sigma_key`` and ``plan_key`` name the rule set and the
     plan, so warm worker slots that already hold them are sent neither.
-    ``phase`` gives every unit its kind, inputs and eval mode (see
+    ``phase`` gives every unit its kind and inputs (see
     :class:`~repro.parallel.workload.UnitPhase`); it travels once per
     slot, apart from the units.
     Cost charging happens on the coordinator from the per-unit

@@ -1168,10 +1168,9 @@ class SimulatedExecutor:
         Each slot runs through the engine's one slot loop
         (:func:`~repro.parallel.engine.run_slot`), the same one a worker
         process runs, so both backends consume and produce identical
-        slot results.  ``phase`` gives every unit its kind, inputs and
-        eval mode.  ``sigma_key`` and ``plan_key``
-        name what a worker slot may already hold; nothing is resident
-        here, so they are unused.
+        slot results.  ``phase`` gives every unit its kind and inputs.
+        ``sigma_key`` and ``plan_key`` name what a worker slot may
+        already hold; nothing is resident here, so they are unused.
         """
         from .engine import BlockMaterialiser, run_slot
 

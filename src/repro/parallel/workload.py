@@ -62,15 +62,15 @@ class WorkUnit:
     results travel back merged per group and slot, in
     :attr:`~repro.parallel.engine.SlotResult.payloads`.
 
-    ``eval_mode`` selects how ``mine``/``count`` units answer their
-    aggregate queries (see :mod:`repro.matching.factorised`): ``auto``
-    factorises when the leader pattern's join structure permits and
-    enumerates otherwise; the explicit modes force one path.  ``detect``
-    units ignore it (violations need witness matches).
+    An aggregate ``mine`` or ``count`` unit answers from the block's
+    factorised eliminations when its leader pattern's join structure
+    permits (see :mod:`repro.matching.factorised`) and enumerates
+    otherwise; ``detect`` units always enumerate (violations need
+    witness matches).
 
     A run that gives every unit of a plan the same kind names it once,
     in a :class:`UnitPhase`, instead of copying each unit; the unit's
-    own ``kind``, ``payload`` and ``eval_mode`` then go unread.
+    own ``kind`` and ``payload`` then go unread.
     """
 
     group: SharedGroup
@@ -84,7 +84,6 @@ class WorkUnit:
     primary: bool = True
     kind: str = "detect"
     payload: Optional[tuple] = None
-    eval_mode: str = "auto"
 
     @property
     def cost_share(self) -> float:
@@ -103,7 +102,7 @@ class WorkUnit:
 
 @dataclass(frozen=True)
 class UnitPhase:
-    """What every unit of one run does: its kind, inputs and eval mode.
+    """What every unit of one run does: its kind and inputs.
 
     Discovery runs one plan as three phases — ``mine``, ``count`` and
     a ``detect`` confirmation — that differ only in what a unit does
@@ -119,7 +118,6 @@ class UnitPhase:
     """
 
     kind: str = "detect"
-    eval_mode: str = "auto"
     payloads: Dict[int, tuple] = field(default_factory=dict)
     groups: Dict[int, SharedGroup] = field(default_factory=dict)
 
@@ -130,7 +128,7 @@ class UnitPhase:
             {unit.group.leader_index: unit.payload}
             if unit.payload is not None else {}
         )
-        return cls(kind=unit.kind, eval_mode=unit.eval_mode, payloads=payloads)
+        return cls(kind=unit.kind, payloads=payloads)
 
 
 def unit_weight(block_size: int, pattern_edges: int) -> float:

@@ -84,7 +84,6 @@ from .core.validation import Violation, det_vio
 from .graph.graph import PropertyGraph
 from .graph.partition import Fragmentation
 from .graph.updates import check_ops
-from .matching.factorised import EVAL_MODES
 from .parallel.assignment import (
     balance_only_assign,
     bicriteria_assign,
@@ -148,7 +147,9 @@ class DiscoveryPhase:
     its block's resident factorised eliminations.  It is zero across
     ``enumerate`` and ``count`` when every candidate pattern evaluated
     factorised (the default for the acyclic patterns discovery
-    proposes), and every unit under ``eval_mode="enumerate"``.
+    proposes); a unit whose pattern does not factorise, and every unit
+    of the capped fetch and the sampled fallback (``"matches"`` folds),
+    enumerates.
     """
 
     phase: str
@@ -475,7 +476,6 @@ class ValidationSession:
         executor: Optional[str] = None,
         processes: Optional[int] = None,
         confirm: bool = True,
-        eval_mode: str = "auto",
     ) -> DiscoveryRun:
         """Mine GFDs over the session's warm engine.
 
@@ -504,22 +504,13 @@ class ValidationSession:
         open, no ``confirm`` phase runs, no Σ is swapped, and the probe
         Σ stays resident for the next discover.
 
-        ``eval_mode`` is threaded to every mine/count unit (see
-        :func:`~repro.core.discovery.discover_gfds`): under ``"auto"``
-        (default) the aggregate phases answer by factorised variable
-        elimination — zero VF2 enumerations — whenever a unit's leader
-        pattern factorises; witness-needing paths (the capped match
-        fetch, the sampled fallback, confirmation) always enumerate.
-        The mined rule set is eval-mode-invariant.
+        Each mine/count unit picks its path from what it observes: the
+        aggregate phases answer by factorised variable elimination —
+        zero VF2 enumerations — whenever a unit's leader pattern
+        factorises, and enumerate otherwise; witness-needing paths (the
+        capped match fetch, the sampled fallback, confirmation) always
+        enumerate.  Either path gives the same mined rule set.
         """
-        if eval_mode not in EVAL_MODES:
-            raise ValueError(f"unknown eval mode {eval_mode!r}")
-        if eval_mode == "factorised" and sample_size is not None:
-            raise ValueError(
-                "eval_mode='factorised' cannot honour an explicit "
-                "evidence sample (sampling draws from materialised "
-                "matches)"
-            )
         executor = executor if executor is not None else self.executor
         processes = processes if processes is not None else self.processes
         graph = self.graph
@@ -585,7 +576,7 @@ class ValidationSession:
         # The unit payload carries the cap so workers bound what they
         # materialise and ship (see engine._execute_mine).
         mine_phase = UnitPhase(
-            kind="mine", eval_mode=eval_mode,
+            kind="mine",
             payloads={
                 group.leader_index: (max_matches, mine_mode)
                 for group in groups
@@ -656,7 +647,7 @@ class ValidationSession:
                 # backend-invariant.
                 fetch_indices = frozenset(need_fetch)
                 fetch_phase = UnitPhase(
-                    kind="mine", eval_mode="enumerate",
+                    kind="mine",
                     payloads={
                         group.leader_index: (max_matches, "matches")
                         for group in groups
@@ -760,9 +751,7 @@ class ValidationSession:
             count_results = run_units(
                 probes, graph, count_plan, count_cluster, backend,
                 sigma_key=probe_key,
-                phase=UnitPhase(
-                    kind="count", eval_mode=eval_mode, payloads=group_payload
-                ),
+                phase=UnitPhase(kind="count", payloads=group_payload),
             )
             for result in count_results:
                 for leader, tallies_payload in result.payloads.items():

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.cli import format_rule_file, main, parse_rule_file
-from repro.graph import PropertyGraph, save_graph
+from repro.core.discovery import discover_gfds
+from repro.graph import PropertyGraph, load_graph, save_graph
 
 RULES_TEXT = """
 # unique capitals
@@ -409,26 +410,27 @@ class TestDiscoverCommand:
                         out=io.StringIO())
             assert code == 0
 
-    def test_discover_eval_mode_choices(self, mining_graph_file):
+    def test_discover_picks_evaluation_paths_itself(self, mining_graph_file):
+        """No ``--eval-mode``: mine/count units factorise where they can
+        and enumerate otherwise, mining the enumerating serial rules."""
         with pytest.raises(SystemExit):
             main(["discover", str(mining_graph_file),
-                  "--eval-mode", "bogus"], out=io.StringIO())
-        outputs = {}
-        for mode in ("auto", "factorised", "enumerate"):
-            out = io.StringIO()
-            code = main(["discover", str(mining_graph_file),
-                         "--support", "5", "--eval-mode", mode], out=out)
-            assert code == 0
-            outputs[mode] = [line for line in out.getvalue().splitlines()
-                             if not line.startswith("#")]
-        # All three evaluation modes mine the same rules.
-        assert outputs["auto"] == outputs["factorised"] \
-            == outputs["enumerate"]
+                  "--eval-mode", "auto"], out=io.StringIO())
+        out = io.StringIO()
+        assert main(["discover", str(mining_graph_file), "--support", "5"],
+                    out=out) == 0
+        serial = discover_gfds(
+            load_graph(mining_graph_file), min_support=5,
+            eval_mode="enumerate",
+        )
+        assert serial
+        assert [rule_key(gfd) for gfd in parse_rule_file(out.getvalue())] \
+            == [rule_key(d.gfd) for d in serial]
 
     def test_discover_reports_vf2_units(self, mining_graph_file):
         out = io.StringIO()
-        assert main(["discover", str(mining_graph_file), "--support", "5",
-                     "--eval-mode", "factorised"], out=out) == 0
+        assert main(["discover", str(mining_graph_file), "--support", "5"],
+                    out=out) == 0
         text = out.getvalue()
         count_line = next(line for line in text.splitlines()
                           if line.startswith("# count:"))

@@ -10,10 +10,13 @@ into units and workers, and however the partial aggregates are merged.
 This suite is the property-level lock on that contract, plus the two
 documented match-shipping fallbacks (the ``max_matches`` cap and the
 explicit seeded evidence sample), which re-enumerate their units with
-VF2 whatever ran before them on the session.
+VF2 whatever ran before them on the session, and the VF2 path a unit
+takes on its own when its leader pattern does not factorise (a cyclic
+probe pattern) — each against the enumerating serial reference.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,9 +31,19 @@ from repro.core.discovery import (
     candidate_dependencies,
     candidate_patterns,
     canonical_matches,
+    count_dependency,
+    match_items_key,
+    probe_gfds,
 )
 from repro.datasets import dbpedia_like, pokec_like
 from repro.matching import SubgraphMatcher
+from repro.parallel import estimate_workload, execute_unit
+from repro.parallel.balancing import lpt_partition
+from repro.parallel.engine import BlockMaterialiser
+from repro.parallel.executors import MultiprocessExecutor
+from repro.parallel.multiquery import build_shared_groups
+from repro.parallel.workload import UnitPhase
+from repro.pattern.pattern import GraphPattern
 
 PARAMS = dict(min_support=3, min_confidence=0.85)
 
@@ -260,17 +273,137 @@ def rule_keys(rules):
     return [(d.gfd.name, d.support, d.confidence) for d in rules]
 
 
-#: every (eval mode, executor, processes) the match-shipping fallbacks
-#: must agree with serial mining under
-FALLBACK_MATRIX = [
-    pytest.param(mode, executor, processes, id=f"{mode}-{executor}")
-    for mode in ("auto", "enumerate")
-    for executor, processes in (("simulated", None), ("process", 2))
+#: the backends every session-level fallback must agree with serial
+#: mining under
+BACKENDS = [
+    pytest.param("simulated", None, id="simulated"),
+    pytest.param("process", 2, id="process"),
 ]
 
 
+def triangle_workload():
+    """A graph dense in directed triangles and the triangle's probe Σ.
+
+    A triangle's join structure is cyclic, so no factorised plan exists
+    for it: every ``mine`` and ``count`` unit over it takes the VF2
+    path, as any cyclic or wider-than-``MAX_VARS`` pattern does.
+    """
+    graph = power_law_graph(
+        60, 300, seed=1, domain_size=3, node_labels=["a"],
+        edge_labels=["e"], attributes=("A", "B"),
+    )
+    triangle = GraphPattern()
+    for var in "xyz":
+        triangle.add_node(var, "a")
+    for src, dst in (("x", "y"), ("y", "z"), ("z", "x")):
+        triangle.add_edge(src, dst, "e")
+    sigma = probe_gfds([triangle])
+    units = estimate_workload(sigma, graph, groups=build_shared_groups(sigma))
+    return graph, sigma, units
+
+
+class TestCyclicProbeFallback:
+    """Units whose leader pattern does not factorise enumerate with VF2,
+    and their merged payloads are the serial reference's."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        graph, sigma, units = triangle_workload()
+        matcher = SubgraphMatcher(sigma[0].pattern, graph)
+        assert matcher.factorised_plan() is None
+        matches = list(matcher.matches())
+        # A block with no triangle through its pin gets a (trivially
+        # empty) factorised plan; the units that hold every match are
+        # those pinned on a triangle, and each holds a cyclic block.
+        (pivot,) = (entry.variable for entry in sigma[0].pivot.entries)
+        pinned = {match[pivot] for match in matches}
+        units = [unit for unit in units
+                 if unit.pivot_assignment[pivot] in pinned]
+        assert units
+        return graph, sigma, units, matches
+
+    @pytest.fixture(scope="class", params=["units", "pool"])
+    def run_phase(self, request, workload):
+        """Runs one phase over the units and returns the group payloads:
+        one unit at a time (each asserted to run exactly one VF2 walk),
+        or as a two-slot plan through a two-worker pool."""
+        graph, sigma, units, _ = workload
+        if request.param == "units":
+            def run(kind, payload):
+                materialiser = BlockMaterialiser(graph)
+                payloads = []
+                for unit in units:
+                    result = execute_unit(
+                        sigma, graph, replace(unit, kind=kind, payload=payload),
+                        materialiser,
+                    )
+                    assert result.vf2_units == 1
+                    payloads.extend(result.payloads.values())
+                return payloads
+
+            yield run
+            return
+        plan, _ = lpt_partition(units, 2)
+        leader = units[0].group.leader_index
+        with MultiprocessExecutor(processes=2) as pool:
+            def run(kind, payload):
+                results = pool.run(
+                    sigma, graph, plan,
+                    phase=UnitPhase(kind=kind, payloads={leader: payload}),
+                )
+                assert sum(result.vf2_units for result in results) \
+                    == len(units)
+                return [
+                    found for result in results
+                    for found in result.payloads.values()
+                ]
+
+            yield run
+
+    def test_mine_aggregate_units_enumerate_the_serial_evidence(
+        self, workload, run_phase
+    ):
+        graph, _, _, matches = workload
+        merged = EvidenceAggregate()
+        for payload in run_phase("mine", (5000, "aggregate")):
+            merged.merge(EvidenceAggregate.from_payload(payload))
+        serial = EvidenceAggregate()
+        for match in matches:
+            serial.add(graph, match)
+        assert merged.to_payload() == serial.to_payload()
+
+    def test_mine_match_units_ship_the_serial_matches(
+        self, workload, run_phase
+    ):
+        matches = workload[-1]
+        shipped = []
+        for kind, found in run_phase("mine", (5000, "matches")):
+            assert kind == "shared"
+            shipped.extend(found)
+        assert sorted(shipped, key=match_items_key) == sorted(
+            (tuple(sorted(match.items())) for match in matches),
+            key=match_items_key,
+        )
+
+    def test_count_units_tally_the_serial_counts(self, workload, run_phase):
+        graph, sigma, _, matches = workload
+        deps = candidate_dependencies(sigma[0].pattern, graph, matches)
+        assert deps
+        totals = [[0, 0] for _ in deps]
+        for (member_counts,) in run_phase("count", (tuple(deps),)):
+            for pos, supported, satisfied in member_counts:
+                totals[pos][0] += supported
+                totals[pos][1] += satisfied
+        assert totals == [
+            list(count_dependency(graph, matches, lhs, rhs))
+            for lhs, rhs in deps
+        ]
+        assert any(supported for supported, _ in totals)
+
+
 class TestFallbackPaths:
-    """The two documented match-shipping fallbacks and the eval modes."""
+    """The two documented match-shipping fallbacks, and the default path,
+    against the enumerating serial reference."""
 
     @pytest.fixture(scope="class")
     def mining_graph(self):
@@ -280,74 +413,91 @@ class TestFallbackPaths:
             edge_labels=["knows", "in", "for"],
         )
 
-    @pytest.mark.parametrize("eval_mode,executor,processes", FALLBACK_MATRIX)
-    def test_seeded_sample_falls_back_to_match_shipping(
-        self, mining_graph, eval_mode, executor, processes
+    @pytest.mark.parametrize("executor,processes", BACKENDS)
+    def test_default_discover_equals_enumerating_serial_mining(
+        self, mining_graph, executor, processes
     ):
-        serial = discover_gfds(mining_graph, sample_size=12, seed=4, **PARAMS)
+        """Unit-chosen paths mine the enumerating serial rule set, and
+        the telemetry proves every mine and count unit factorised."""
+        serial = discover_gfds(mining_graph, eval_mode="enumerate", **PARAMS)
         assert serial
         with ValidationSession(
             mining_graph, [], executor=executor, processes=processes
         ) as session:
-            run = session.discover(
-                n=3, sample_size=12, seed=4, eval_mode=eval_mode, **PARAMS
-            )
+            run = session.discover(n=3, **PARAMS)
         assert rule_keys(run.rules) == rule_keys(serial)
+        # Every candidate pattern here factorises: zero VF2
+        # enumerations in mine and count.
+        assert run.phase("enumerate").vf2_units == 0
+        assert run.phase("count").vf2_units == 0
         assert run.violations == det_vio(run.sigma, mining_graph)
 
-    @pytest.mark.parametrize("eval_mode,executor,processes", FALLBACK_MATRIX)
-    def test_capped_pattern_falls_back_to_match_fetch(
-        self, mining_graph, eval_mode, executor, processes
+    @pytest.mark.parametrize("executor,processes", BACKENDS)
+    def test_seeded_sample_falls_back_to_match_shipping(
+        self, mining_graph, executor, processes
     ):
-        serial = discover_gfds(mining_graph, max_matches=15, **PARAMS)
+        serial = discover_gfds(
+            mining_graph, sample_size=12, seed=4, eval_mode="enumerate",
+            **PARAMS,
+        )
+        assert serial
         with ValidationSession(
             mining_graph, [], executor=executor, processes=processes
         ) as session:
-            run = session.discover(
-                n=3, max_matches=15, eval_mode=eval_mode, **PARAMS
-            )
+            run = session.discover(n=3, sample_size=12, seed=4, **PARAMS)
+        assert rule_keys(run.rules) == rule_keys(serial)
+        # match lists need witnesses: every mine unit enumerated
+        assert run.phase("enumerate").vf2_units > 0
+        assert run.violations == det_vio(run.sigma, mining_graph)
+
+    @pytest.mark.parametrize("executor,processes", BACKENDS)
+    def test_capped_pattern_falls_back_to_match_fetch(
+        self, mining_graph, executor, processes
+    ):
+        serial = discover_gfds(
+            mining_graph, max_matches=15, eval_mode="enumerate", **PARAMS
+        )
+        with ValidationSession(
+            mining_graph, [], executor=executor, processes=processes
+        ) as session:
+            run = session.discover(n=3, max_matches=15, **PARAMS)
         assert rule_keys(run.rules) == rule_keys(serial)
         assert run.capped_rules or any(
             d.support == 15 for d in run.rules
         )  # the cap demonstrably engaged somewhere
+        # the capped fetch re-enumerates its groups' units
+        assert run.phase("enumerate").vf2_units > 0
         assert run.violations == det_vio(run.sigma, mining_graph)
 
-    @pytest.mark.parametrize("executor,processes", [
-        ("simulated", None), ("process", 2),
-    ])
-    def test_eval_modes_agree_with_serial_mining(
+    def test_non_factorising_units_mine_the_serial_rules(
+        self, mining_graph, monkeypatch
+    ):
+        """With no factorised plan — what a cyclic or wide candidate
+        pattern gets — every mine and count unit enumerates, and mining
+        still returns the serial rule set.  In-process only: the patch
+        would reach forked pool workers but not a respawned one
+        (:class:`TestCyclicProbeFallback` covers pools with a pattern
+        that really is cyclic)."""
+        serial = discover_gfds(mining_graph, eval_mode="enumerate", **PARAMS)
+        monkeypatch.setattr(
+            SubgraphMatcher, "factorised_plan", lambda self: None
+        )
+        with ValidationSession(mining_graph, [], executor="simulated") \
+                as session:
+            run = session.discover(n=3, **PARAMS)
+        assert rule_keys(run.rules) == rule_keys(serial)
+        for name in ("enumerate", "count"):
+            phase = run.phase(name)
+            assert phase.vf2_units == phase.num_units, name
+
+    @pytest.mark.parametrize("executor,processes", BACKENDS)
+    def test_default_after_fallback_discovers_equals_a_fresh_discover(
         self, mining_graph, executor, processes
     ):
-        """Every evaluation mode, on every backend, mines the serial
-        rule set — and the telemetry proves which path actually ran."""
-        serial = discover_gfds(mining_graph, **PARAMS)
-        assert serial
-        reference = [(d.gfd.name, d.support, d.confidence) for d in serial]
-        for mode in ("auto", "factorised", "enumerate"):
-            with ValidationSession(
-                mining_graph, [], executor=executor, processes=processes
-            ) as session:
-                run = session.discover(n=3, eval_mode=mode, **PARAMS)
-            assert [(d.gfd.name, d.support, d.confidence)
-                    for d in run.rules] == reference, (executor, mode)
-            if mode in ("auto", "factorised"):
-                # Every candidate pattern here factorises: zero VF2
-                # enumerations in mine and count.
-                assert run.phase("enumerate").vf2_units == 0
-                assert run.phase("count").vf2_units == 0
-            if mode == "enumerate":
-                assert run.phase("enumerate").vf2_units > 0
-
-
-    @pytest.mark.parametrize("executor,processes", [
-        ("simulated", None), ("process", 2),
-    ])
-    def test_auto_after_enumerate_equals_a_fresh_auto_discover(
-        self, mining_graph, executor, processes
-    ):
-        """Enumerating discovers leave nothing an ``"auto"`` one reads:
-        it still answers mine and count from resident eliminations, and
-        mines, confirms and charges exactly what a fresh session does."""
+        """Sampled and capped discovers enumerate, and leave nothing a
+        default one reads: it still answers mine and count from resident
+        eliminations, and mines, confirms and charges exactly what a
+        fresh session does."""
         with ValidationSession(
             mining_graph, [], executor=executor, processes=processes
         ) as fresh:
@@ -355,9 +505,9 @@ class TestFallbackPaths:
         with ValidationSession(
             mining_graph, [], executor=executor, processes=processes
         ) as session:
-            for _ in range(2):
-                session.discover(n=3, eval_mode="enumerate", **PARAMS)
-            run = session.discover(n=3, eval_mode="auto", **PARAMS)
+            session.discover(n=3, sample_size=12, seed=4, **PARAMS)
+            session.discover(n=3, max_matches=15, **PARAMS)
+            run = session.discover(n=3, **PARAMS)
         assert rule_keys(run.rules) == rule_keys(reference.rules)
         assert run.sigma == reference.sigma
         assert run.violations == reference.violations

@@ -203,16 +203,16 @@ class TestMatcherRetention:
         with ValidationSession(
             graph, sigma, executor="process", processes=2
         ) as session:
-            session.discover(n=2, eval_mode="auto", **PARAMS)
+            session.discover(n=2, **PARAMS)
             for round_ in range(3):
                 session.validate(n=2)  # the base Σ swaps in and out
                 if round_ == 2:  # a structural delta on warm blocks
                     session.update([("edge-", *removed)])
-                warm = session.discover(n=2, eval_mode="auto", **PARAMS)
+                warm = session.discover(n=2, **PARAMS)
                 current = graph.copy()
                 serial = discover_gfds(current, **PARAMS)
                 with ValidationSession(current, []) as fresh:
-                    cold = fresh.discover(n=2, eval_mode="auto", **PARAMS)
+                    cold = fresh.discover(n=2, **PARAMS)
                 expected = [mined_key(d) for d in serial]
                 assert [mined_key(d) for d in warm.rules] == expected
                 assert [mined_key(d) for d in cold.rules] == expected

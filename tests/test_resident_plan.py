@@ -25,6 +25,7 @@ from repro import ValidationSession, det_vio, generate_gfds, power_law_graph
 from repro.core.gfd import make_gfd
 from repro.core.literals import VariableLiteral
 from repro.matching.locality import symmetry_classes
+from repro.matching.vf2 import SubgraphMatcher
 from repro.parallel import estimate_workload, execute_unit
 from repro.parallel.engine import (
     BlockMaterialiser,
@@ -174,7 +175,12 @@ def _symmetric_workload():
 
 class TestGroupedSlotLoop:
     @pytest.mark.parametrize("kind", ["detect", "mine", "matches", "count"])
-    def test_slot_loop_equals_per_unit_execution(self, kind):
+    def test_slot_loop_equals_per_unit_execution(self, kind, monkeypatch):
+        # no factorised plan: every unit takes the VF2 path, as a
+        # cyclic or wide leader pattern would
+        monkeypatch.setattr(
+            SubgraphMatcher, "factorised_plan", lambda self: None
+        )
         graph, sigma = _symmetric_workload()
         assert (0, 1) in symmetry_classes(sigma[0].pattern, sigma[0].pivot)
         units = estimate_workload(
@@ -182,11 +188,11 @@ class TestGroupedSlotLoop:
         )
         if kind in ("mine", "matches"):
             mode = "aggregate" if kind == "mine" else "matches"
-            units = [replace(u, kind="mine", payload=(50, mode),
-                             eval_mode="enumerate") for u in units]
+            units = [replace(u, kind="mine", payload=(50, mode))
+                     for u in units]
         elif kind == "count":
             units = [
-                replace(u, kind="count", eval_mode="enumerate", payload=tuple(
+                replace(u, kind="count", payload=tuple(
                     ((sigma[m.index].lhs, sigma[m.index].rhs),)
                     for m in u.group.members
                 ))
@@ -202,7 +208,7 @@ class TestGroupedSlotLoop:
         # steps column, VF2 count, violations and every group's payload
         assert grouped == merged
         assert sum(grouped.steps) > 0
-        assert grouped.vf2_units == len(units)  # "enumerate" throughout
+        assert grouped.vf2_units == len(units)  # VF2 throughout
         if kind != "detect":  # one merged payload per group
             assert list(grouped.payloads) == list(dict.fromkeys(
                 unit.group.leader_index for unit in units

@@ -23,6 +23,7 @@ Five pillars:
   shared-memory segments.
 """
 
+import os
 import random
 import threading
 import time
@@ -492,7 +493,8 @@ class TestLifecycle:
                 )
                 assert service.flush(timeout=120)
             session.validate(n=4)
-        assert glob.glob("/dev/shm/rgfd-*") == []
+        # names carry the publishing pid, so look at this process's only
+        assert glob.glob(f"/dev/shm/rgfd-{os.getpid()}-*") == []
 
     def test_subscription_close_detaches(self, g1, phi1):
         with ValidationSession(g1, [phi1], executor="simulated") as session:
@@ -559,8 +561,7 @@ class TestDetectConsolidation:
         group_a = SimpleNamespace(leader_index=0, members=())
         group_b = SimpleNamespace(leader_index=1, members=())
         units = [
-            SimpleNamespace(kind="detect", group=group, payload=None,
-                            eval_mode="auto")
+            SimpleNamespace(kind="detect", group=group, payload=None)
             for group in (group_a, group_a, group_b, group_a)
         ]
         results = [

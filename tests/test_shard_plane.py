@@ -56,8 +56,14 @@ def workload(seed: int = 3):
 
 
 def leaked_segments():
-    """Shard-plane names still present in /dev/shm (should be none)."""
-    return sorted(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}-*"))
+    """This process's shard-plane names still in /dev/shm (should be none).
+
+    A segment's name carries the pid of the coordinator that published
+    it (``ShardPlane.publish`` is the only creator), so other processes
+    on the host — a concurrent run of anything using the shard plane —
+    cannot make these checks fail, and a leak by this process still does.
+    """
+    return sorted(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}-{os.getpid()}-*"))
 
 
 @pytest.fixture(autouse=True)
@@ -420,7 +426,7 @@ class TestSegmentLifecycle:
         """
         src_dir = Path(repro.__file__).resolve().parents[1]
         code = (
-            "import warnings\n"
+            "import os, warnings\n"
             "from repro import ValidationSession\n"
             "from repro.core import generate_gfds\n"
             "from repro.graph import power_law_graph\n"
@@ -431,6 +437,7 @@ class TestSegmentLifecycle:
             "                       processes=2, ship_mode='shm') as s:\n"
             "    s.validate(n=2)\n"
             "    s.validate(n=2)\n"
+            "print(os.getpid())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(src_dir))
         result = subprocess.run(
@@ -441,6 +448,9 @@ class TestSegmentLifecycle:
         assert "resource_tracker" not in result.stderr, result.stderr
         assert "KeyError" not in result.stderr, result.stderr
         assert "leaked" not in result.stderr, result.stderr
+        # the child published under its own pid: none of it may remain
+        child = int(result.stdout.split()[-1])
+        assert glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}-{child}-*") == []
 
 
 class TestShipModeValidation:

@@ -20,7 +20,7 @@ from repro.core.literals import ConstantLiteral, VariableLiteral
 from repro.graph import power_law_graph
 from repro.matching.factorised import FactorisedPlan
 from repro.matching.locality import candidate_permutations
-from repro.matching.vf2 import _NO_MATCH, MatchStats
+from repro.matching.vf2 import _NO_MATCH, MatchStats, SubgraphMatcher
 from repro.parallel import estimate_workload, execute_unit
 from repro.parallel.engine import (
     BlockMaterialiser,
@@ -99,10 +99,7 @@ def _count_units(graph, value):
         if "z" in sigma[unit.group.leader_index].pattern:
             first += (((VariableLiteral("y", "A", "z", "A"),), ()),)
             second += (((), (VariableLiteral("x", "B", "z", "B"),)),)
-        out.append(replace(
-            unit, kind="count", payload=(first, second),
-            eval_mode="factorised",
-        ))
+        out.append(replace(unit, kind="count", payload=(first, second)))
     return sigma, out
 
 
@@ -151,16 +148,21 @@ def _pair_cases(plan, pair):
 
 
 @pytest.mark.parametrize("seed", [2, 9])
-def test_shared_elimination_charges_and_tallies_like_standalone(seed):
+def test_shared_elimination_charges_and_tallies_like_standalone(
+    seed, monkeypatch
+):
     graph, sigma, units = _inputs(seed)
     materialiser = BlockMaterialiser(graph)
     cases = set()
     supported = 0
+    factorised = []
     for unit in units:
-        shared_steps, shared = _factorised_count(
+        found = _factorised_count(
             _Group(sigma, unit.group, UnitPhase.of(unit)), unit, materialiser,
-            strict=True,
         )
+        assert found is not None  # every unit here factorises
+        shared_steps, shared = found
+        factorised.append(shared)
         payload, steps = _standalone(sigma, unit, materialiser)
         assert shared == payload
         assert shared_steps == steps
@@ -169,13 +171,16 @@ def test_shared_elimination_charges_and_tallies_like_standalone(seed):
             sigma, unit.group.leader_index, unit.block_nodes
         )
         cases |= _pair_cases(matcher.factorised_plan(), ("x", "y"))
-        # and the factorised answer is the enumerated one
-        enumerated = execute_unit(
-            sigma, graph, replace(unit, eval_mode="enumerate"), materialiser
-        )
-        assert enumerated.payloads[unit.group.leader_index] == shared
     assert cases == {"merged", "same component", "different components"}
     assert supported > 0  # the tallies are not all zero
+    # and the factorised answer is the enumerated one: with no plan,
+    # a unit takes the VF2 path a non-factorising pattern takes
+    monkeypatch.setattr(SubgraphMatcher, "factorised_plan", lambda self: None)
+    materialiser = BlockMaterialiser(graph)
+    for unit, shared in zip(units, factorised):
+        enumerated = execute_unit(sigma, graph, unit, materialiser)
+        assert enumerated.vf2_units == 1
+        assert enumerated.payloads[unit.group.leader_index] == shared
 
 
 def test_elimination_is_shared_across_members_and_pair_tables(monkeypatch):
@@ -194,10 +199,9 @@ def test_elimination_is_shared_across_members_and_pair_tables(monkeypatch):
         return original(self, quotient, cand, ops)
 
     monkeypatch.setattr(FactorisedPlan, "_component_roots", counted)
-    _factorised_count(
+    assert _factorised_count(
         _Group(sigma, unit.group, UnitPhase.of(unit)), unit, materialiser,
-        strict=True,
-    )
+    ) is not None
     leader = sigma[unit.group.leader_index]
     pins = sum(
         matcher._pin_indices(pinned) is not _NO_MATCH

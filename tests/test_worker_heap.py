@@ -60,19 +60,21 @@ def _exercise_resident_state(graph, sigma, units) -> int:
     materialiser = BlockMaterialiser(graph)
     for unit in units:
         execute_unit(sigma, graph, unit, materialiser)
-    for eval_mode in ("auto", "enumerate"):
-        for mode in ("aggregate", "matches"):
-            for unit in units:
-                mine = replace(
-                    unit, kind="mine", payload=(50, mode), eval_mode=eval_mode
+    for factorised in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not factorised:  # the VF2 path of a non-factorising pattern
+                patch.setattr(
+                    SubgraphMatcher, "factorised_plan", lambda self: None
                 )
-                execute_unit(sigma, graph, mine, materialiser)
-        for unit in units:
-            count = replace(
-                unit, kind="count", payload=_count_payload(sigma, unit),
-                eval_mode=eval_mode,
-            )
-            execute_unit(sigma, graph, count, materialiser)
+            for mode in ("aggregate", "matches"):
+                for unit in units:
+                    mine = replace(unit, kind="mine", payload=(50, mode))
+                    execute_unit(sigma, graph, mine, materialiser)
+            for unit in units:
+                count = replace(
+                    unit, kind="count", payload=_count_payload(sigma, unit)
+                )
+                execute_unit(sigma, graph, count, materialiser)
     matcher = SubgraphMatcher(sigma[0].pattern, graph)
     assert sum(1 for _ in oracle_matches(sigma[0].pattern, graph)) == (
         matcher.count_matches(eval_mode="enumerate")
